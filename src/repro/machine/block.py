@@ -17,8 +17,9 @@ for regular access patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -154,22 +155,27 @@ def timed_block(ip: int, cycles: int, ipc: float = 4.0) -> Block:
     return Block(ip=ip, uops=cycles, extra_cycles=cycles - base)
 
 
-@dataclass(frozen=True)
-class BlockOutcome:
+class BlockOutcome(NamedTuple):
     """What happened when a core executed a block.
 
     ``start`` and ``cycles`` describe the position of the block on the core's
     clock *excluding* sampling overhead charged after it; ``overhead_cycles``
-    is the sampling/interrupt cost appended by the PMU.  ``event_counts``
-    holds the per-event occurrence counts used for counter arithmetic.
+    is the sampling/interrupt cost appended by the PMU.  ``counts`` is the
+    event vector (per-event occurrence counts in :class:`HWEvent`
+    declaration order) the counters advanced by.
     """
 
     start: int
     cycles: int
     overhead_cycles: int
-    event_counts: Mapping[HWEvent, int] = field(default_factory=dict)
+    counts: tuple[int, ...] = ()
 
     @property
     def end(self) -> int:
         """Core clock value after the block and its sampling overhead."""
         return self.start + self.cycles + self.overhead_cycles
+
+    @property
+    def event_counts(self) -> Mapping[HWEvent, int]:
+        """Read-only per-event view of :attr:`counts` (built on demand)."""
+        return MappingProxyType(dict(zip(HWEvent, self.counts)))

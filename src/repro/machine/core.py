@@ -19,7 +19,6 @@ from repro.errors import SimulationError
 from repro.machine.block import Block, BlockOutcome
 from repro.machine.cache import CacheHierarchy
 from repro.machine.config import MachineSpec
-from repro.machine.events import HWEvent
 from repro.machine.pebs import TAG_NONE
 from repro.machine.pmu import PMU
 
@@ -52,41 +51,43 @@ class SimCore:
     def execute(self, block: Block) -> BlockOutcome:
         """Run one block to retirement; advance the clock; feed the PMU."""
         start = self.clock
-        lines = block.line_addresses()
-        if lines.shape[0] and self.hierarchy is not None:
-            mem = self.hierarchy.access_lines(lines)
-            penalty = math.ceil(mem.penalty_cycles / block.mem_mlp)
-            l1_miss, l2_miss, llc_miss = mem.l1_misses, mem.l2_misses, mem.llc_misses
-        else:
-            penalty = 0
-            l1_miss = l2_miss = llc_miss = 0
-        base = math.ceil(block.uops / self.spec.ipc)
+        n_lines = penalty = l1_miss = l2_miss = llc_miss = 0
+        if block.mem is not None:
+            lines = block.line_addresses()
+            n_lines = int(lines.shape[0])
+            if n_lines and self.hierarchy is not None:
+                mem = self.hierarchy.access_lines(lines)
+                penalty = math.ceil(mem.penalty_cycles / block.mem_mlp)
+                l1_miss, l2_miss, llc_miss = (
+                    mem.l1_misses, mem.l2_misses, mem.llc_misses
+                )
+        spec = self.spec
+        uops = block.uops
         cycles = (
-            base
+            math.ceil(uops / spec.ipc)
             + penalty
-            + block.mispredicts * self.spec.branch_miss_penalty_cycles
+            + block.mispredicts * spec.branch_miss_penalty_cycles
             + block.extra_cycles
         )
-        event_counts = {
-            HWEvent.UOPS_RETIRED_ALL: block.uops,
-            HWEvent.INST_RETIRED: block.resolved_insts,
-            HWEvent.CYCLES: cycles,
-            HWEvent.BR_RETIRED: block.branches,
-            HWEvent.BR_MISP_RETIRED: block.mispredicts,
-            HWEvent.MEM_LOAD_RETIRED_ALL: int(lines.shape[0]),
-            HWEvent.MEM_LOAD_RETIRED_L1_MISS: l1_miss,
-            HWEvent.MEM_LOAD_RETIRED_L2_MISS: l2_miss,
-            HWEvent.MEM_LOAD_RETIRED_L3_MISS: llc_miss,
-        }
+        # The event vector, in HWEvent declaration order.
+        counts = (
+            uops,
+            block.resolved_insts,
+            cycles,
+            block.branches,
+            block.mispredicts,
+            n_lines,
+            l1_miss,
+            l2_miss,
+            llc_miss,
+        )
         overhead = self.pmu.process_block(
-            block.ip, start, cycles, event_counts, self.tag_register
+            block.ip, start, cycles, counts, self.tag_register
         )
         self.clock = start + cycles + overhead
         self.blocks_executed += 1
-        self.uops_retired += block.uops
-        return BlockOutcome(
-            start=start, cycles=cycles, overhead_cycles=overhead, event_counts=event_counts
-        )
+        self.uops_retired += uops
+        return BlockOutcome(start, cycles, overhead, counts)
 
     def advance_to(self, t: int) -> None:
         """Jump the clock forward to ``t`` without retiring anything.

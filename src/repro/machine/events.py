@@ -6,11 +6,17 @@ mispredictions, loads — can be sampled the same way.  Section V-C notes that
 PEBS cannot count bare cycles; we preserve that restriction
 (:data:`HWEvent.CYCLES` is valid for traditional counters but rejected by
 the PEBS unit).
+
+Per-block event counts travel as an *event vector*: a tuple of counts in
+:class:`HWEvent` declaration order, indexed by :data:`EVENT_INDEX`.  The
+simulator's per-block path uses it instead of a dict keyed by enum
+members, which would hash nine enum members per executed block.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Mapping
 
 
 class HWEvent(enum.Enum):
@@ -31,6 +37,15 @@ class HWEvent(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Position of each event in an event vector (declaration order).
+EVENT_INDEX: dict[HWEvent, int] = {e: i for i, e in enumerate(HWEvent)}
+
+
+def event_vector(counts: Mapping[HWEvent, int]) -> tuple[int, ...]:
+    """Turn a per-event mapping into an event vector (absent events are 0)."""
+    return tuple(int(counts.get(e, 0)) for e in HWEvent)
 
 
 #: Events PEBS hardware can sample on.  Mirrors the paper's observation that

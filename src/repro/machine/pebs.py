@@ -25,6 +25,9 @@ growth; see the HPC guide on avoiding repeated reallocation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import add
+from typing import Sequence
 
 import numpy as np
 
@@ -152,7 +155,7 @@ class PEBSUnit:
         self._finalized: SampleArrays | None = None
 
     # -- OverflowSink protocol -------------------------------------------
-    def on_overflows(self, timestamps: np.ndarray, ip: int, tag: int) -> int:
+    def on_overflows(self, timestamps: Sequence[int], ip: int, tag: int) -> int:
         """Record hardware samples; return cycles charged to the core.
 
         ``timestamps`` are the overflow positions on the *unperturbed*
@@ -160,9 +163,25 @@ class PEBSUnit:
         assist/drain overhead accrued earlier in the same block, so the
         cost of sampling stretches the sampled function's observed elapsed
         time exactly as a real microcode assist would.
+
+        A batch that fits in the buffer without filling it (the common
+        case: a few samples per block, thousands of records per buffer)
+        only pays assists, so it is appended in one step per column.
         """
+        if isinstance(timestamps, np.ndarray):
+            # Keep the recorded columns Python ints, as the PMU sends them.
+            timestamps = timestamps.tolist()
+        n = len(timestamps)
         ins = _obs()
-        ins.pebs_samples.inc(int(len(timestamps)))
+        ins.pebs_samples.inc(n)
+        self._finalized = None
+        if self._buffered + n < self.spec.pebs_buffer_records:
+            assist = self._assist_cycles
+            self._ts.extend(map(add, timestamps, count(0, assist)))
+            self._ip.extend([ip] * n)
+            self._tag.extend([tag] * n)
+            self._buffered += n
+            return n * assist
         extra = 0
         for t in timestamps:
             now = int(t) + extra

@@ -8,26 +8,30 @@ the equivalent "events remaining until overflow" scalar.
 
 Event occurrences inside a block are assumed uniformly spread over the
 block's cycles, so the k-th event of a block executing ``cycles`` cycles
-from ``start`` happens at ``start + cycles * k / total``.  Overflow
-positions within a block are computed vectorised (one ``arange`` per block,
-never a Python loop over events).
+from ``start`` happens at ``start + cycles * k / total``.  Only the overflow
+positions are materialised — one exact integer timestamp per overflow, in a
+plain list (never a Python loop over events).  A block with a few overflows
+is the common case, where list arithmetic on Python ints beats allocating
+NumPy arrays.
+
+Event counts arrive as an *event vector* (see
+:mod:`repro.machine.events`): each counter caches its event's index once,
+so the per-block path indexes a tuple instead of hashing enum members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
-
-import numpy as np
+from typing import Protocol, Sequence
 
 from repro.errors import ConfigError
-from repro.machine.events import HWEvent
+from repro.machine.events import EVENT_INDEX, HWEvent
 
 
 class OverflowSink(Protocol):
     """Receiver of counter overflows (PEBS unit or software sampler)."""
 
-    def on_overflows(self, timestamps: np.ndarray, ip: int, tag: int) -> int:
+    def on_overflows(self, timestamps: Sequence[int], ip: int, tag: int) -> int:
         """Handle overflow samples; return extra cycles charged to the core."""
         ...
 
@@ -45,11 +49,13 @@ class CounterConfig:
 
 
 class _CounterState:
-    __slots__ = ("config", "sink", "remaining", "overflows")
+    __slots__ = ("config", "sink", "index", "remaining", "overflows")
 
     def __init__(self, config: CounterConfig, sink: OverflowSink) -> None:
         self.config = config
         self.sink = sink
+        #: Position of the counted event in an event vector.
+        self.index = EVENT_INDEX[config.event]
         self.remaining = config.reset_value
         self.overflows = 0
 
@@ -99,30 +105,30 @@ class PMU:
         ip: int,
         start: int,
         cycles: int,
-        event_counts: Mapping[HWEvent, int],
+        counts: Sequence[int],
         tag: int,
     ) -> int:
         """Advance every counter over one executed block.
 
-        Returns the total extra cycles the sinks charged (PEBS assists,
-        buffer drains, software interrupt handlers).
+        ``counts`` is the block's event vector.  Returns the total extra
+        cycles the sinks charged (PEBS assists, buffer drains, software
+        interrupt handlers).
         """
-        if not self._counters:
-            return 0
         extra = 0
         for state in self._counters:
-            k = int(event_counts.get(state.config.event, 0))
-            if k <= 0:
-                continue
-            if k < state.remaining:
-                state.remaining -= k
+            k = counts[state.index]
+            first = state.remaining
+            if k < first:
+                if k > 0:
+                    state.remaining = first - k
                 continue
             reset = state.config.reset_value
-            n_over = 1 + (k - state.remaining) // reset
             # 1-indexed positions (in event occurrences) of each overflow.
-            positions = state.remaining + reset * np.arange(n_over, dtype=np.int64)
-            timestamps = start + (cycles * positions) // k
-            state.remaining = reset - (k - int(positions[-1]))
-            state.overflows += n_over
+            last = k - (k - first) % reset
+            timestamps = [
+                start + (cycles * p) // k for p in range(first, last + 1, reset)
+            ]
+            state.remaining = reset - (k - last)
+            state.overflows += len(timestamps)
             extra += state.sink.on_overflows(timestamps, ip, tag)
         return extra

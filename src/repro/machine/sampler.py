@@ -19,6 +19,7 @@ here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class SoftwareSampler:
         self._finalized: SampleArrays | None = None
 
     # -- OverflowSink protocol -------------------------------------------
-    def on_overflows(self, timestamps: np.ndarray, ip: int, tag: int) -> int:
+    def on_overflows(self, timestamps: Sequence[int], ip: int, tag: int) -> int:
         """Service what the handler can; drop the rest.  Returns cycle cost.
 
         Like the PEBS unit, each serviced interrupt shifts later overflow
@@ -114,6 +115,7 @@ class SoftwareSampler:
             serviced += 1
             extra += self._handler_cycles
         if serviced:
+            self._finalized = None
             ins.sw_samples.inc(serviced)
         if busy_drops:
             ins.sw_dropped.inc(busy_drops)

@@ -10,7 +10,7 @@ from repro.machine.block import Block, MemRef
 from repro.machine.cache import CacheHierarchy
 from repro.machine.config import MachineSpec
 from repro.machine.core import SimCore
-from repro.machine.events import HWEvent
+from repro.machine.events import HWEvent, event_vector
 from repro.machine.pebs import PEBSConfig, PEBSUnit
 from repro.machine.pmu import CounterConfig
 
@@ -83,6 +83,23 @@ class TestEventCounts:
         assert ec[HWEvent.MEM_LOAD_RETIRED_ALL] == 3
         assert ec[HWEvent.MEM_LOAD_RETIRED_L3_MISS] == 3  # cold
         assert ec[HWEvent.CYCLES] == out.cycles
+
+    def test_event_counts_is_a_read_only_view_of_the_vector(self):
+        core = make_core(with_cache=True)
+        out = core.execute(Block(ip=0, uops=100, mem=MemRef(0, 3), branches=4))
+        assert out.counts == event_vector(out.event_counts)
+        with pytest.raises(TypeError):
+            out.event_counts[HWEvent.BR_RETIRED] = 0
+
+    def test_block_without_memory_counts_no_loads(self):
+        core = make_core(with_cache=True)
+        out = core.execute(Block(ip=0, uops=100))
+        for event in (
+            HWEvent.MEM_LOAD_RETIRED_ALL,
+            HWEvent.MEM_LOAD_RETIRED_L1_MISS,
+            HWEvent.MEM_LOAD_RETIRED_L3_MISS,
+        ):
+            assert out.event_counts[event] == 0
 
     def test_warm_rerun_has_no_miss_events(self):
         core = make_core(with_cache=True)

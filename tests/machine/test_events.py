@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.machine.events import PEBS_CAPABLE_EVENTS, HWEvent, pebs_supports
+from repro.machine.events import (
+    EVENT_INDEX,
+    PEBS_CAPABLE_EVENTS,
+    HWEvent,
+    event_vector,
+    pebs_supports,
+)
 from repro.machine.pebs import PEBSConfig
 
 
@@ -38,3 +44,16 @@ class TestPEBSCapability:
     def test_event_values_are_stable_strings(self):
         assert HWEvent.UOPS_RETIRED_ALL.value == "uops_retired.all"
         assert str(HWEvent.UOPS_RETIRED_ALL) == "uops_retired.all"
+
+
+class TestEventVector:
+    def test_vector_follows_declaration_order(self):
+        counts = {e: 10 * i + 1 for i, e in enumerate(HWEvent)}
+        assert event_vector(counts) == tuple(counts[e] for e in HWEvent)
+        assert [EVENT_INDEX[e] for e in HWEvent] == list(range(len(HWEvent)))
+
+    def test_absent_events_count_zero(self):
+        vec = event_vector({HWEvent.BR_RETIRED: 7})
+        assert len(vec) == len(HWEvent)
+        assert vec[EVENT_INDEX[HWEvent.BR_RETIRED]] == 7
+        assert sum(vec) == 7

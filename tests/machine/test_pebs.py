@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.machine.block import Block
 from repro.machine.config import MachineSpec
+from repro.machine.core import SimCore
 from repro.machine.events import HWEvent
 from repro.machine.pebs import TAG_NONE, PEBSConfig, PEBSUnit, Sample
+from repro.machine.pmu import CounterConfig
 from repro.units import ns_to_cycles
 
 
@@ -100,3 +103,25 @@ class TestFinalize:
         unit = make_unit()
         unit.on_overflows(np.arange(5), 0, TAG_NONE)
         assert unit.sample_count == 5
+
+
+class TestFinalizeAfterMoreSamples:
+    def test_finalize_sees_samples_appended_after_it(self):
+        """A second ``finalize()`` must not return the first call's cache."""
+        core = SimCore(0, MachineSpec())
+        unit = PEBSUnit(PEBSConfig(HWEvent.UOPS_RETIRED_ALL, 100), core.spec)
+        core.pmu.add_counter(CounterConfig(HWEvent.UOPS_RETIRED_ALL, 100), unit)
+        core.execute(Block(ip=0x1, uops=1000))
+        assert len(unit.finalize()) == 10
+        core.execute(Block(ip=0x2, uops=1000))
+        assert unit.sample_count == 20
+        arrays = unit.finalize()
+        assert len(arrays) == 20
+        assert arrays.ip.tolist() == [0x1] * 10 + [0x2] * 10
+
+    def test_finalize_sees_samples_after_a_buffer_fill(self):
+        unit = make_unit(pebs_buffer_records=4)
+        unit.on_overflows(np.arange(3), 0, TAG_NONE)
+        assert len(unit.finalize()) == 3
+        unit.on_overflows(np.arange(10, 16), 0, TAG_NONE)  # crosses a fill
+        assert len(unit.finalize()) == unit.sample_count == 9

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.machine.block import Block
 from repro.machine.config import MachineSpec
 from repro.machine.events import HWEvent
+from repro.machine.machine import Machine
 from repro.machine.pebs import TAG_NONE
 from repro.machine.sampler import SoftwareSampler, SoftwareSamplerConfig
 from repro.units import ns_to_cycles
@@ -86,3 +88,21 @@ class TestSoftwareVsCyclesEvent:
         # Traditional counters CAN count cycles (unlike PEBS).
         cfg = SoftwareSamplerConfig(HWEvent.CYCLES, 1000)
         assert cfg.event is HWEvent.CYCLES
+
+
+class TestFinalizeAfterMoreSamples:
+    def test_finalize_sees_samples_appended_after_it(self):
+        """A second ``finalize()`` must not return the first call's cache."""
+        m = Machine(n_cores=1)
+        s = m.attach_software_sampler(
+            0, SoftwareSamplerConfig(HWEvent.UOPS_RETIRED_ALL, 100)
+        )
+        core = m.core(0)
+        core.execute(Block(ip=0x1, uops=1000))
+        first = len(s.finalize())
+        assert first == s.sample_count > 0
+        core.execute(Block(ip=0x2, uops=1000))
+        assert s.sample_count > first
+        arrays = s.finalize()
+        assert len(arrays) == s.sample_count
+        assert arrays.ip.tolist()[-1] == 0x2

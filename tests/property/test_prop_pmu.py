@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.events import HWEvent
+from repro.machine.events import HWEvent, event_vector
 from repro.machine.pmu import PMU, CounterConfig
 
 
@@ -30,7 +30,9 @@ def test_overflow_count_equals_total_events_div_reset(reset, counts):
     t = 0
     for k in counts:
         if k > 0:
-            pmu.process_block(0, t, max(1, k // 2), {HWEvent.UOPS_RETIRED_ALL: k}, -1)
+            pmu.process_block(
+                0, t, max(1, k // 2), event_vector({HWEvent.UOPS_RETIRED_ALL: k}), -1
+            )
         t += max(1, k // 2)
     assert len(sink.timestamps) == sum(counts) // reset
 
@@ -54,7 +56,7 @@ def test_timestamps_sorted_and_within_blocks(reset, blocks):
     t = 0
     bounds = []
     for k, c in blocks:
-        pmu.process_block(0, t, c, {HWEvent.UOPS_RETIRED_ALL: k}, -1)
+        pmu.process_block(0, t, c, event_vector({HWEvent.UOPS_RETIRED_ALL: k}), -1)
         bounds.append((t, t + c))
         t += c
     ts = np.asarray(sink.timestamps)
@@ -74,13 +76,13 @@ def test_partitioning_invariance(reset, k):
     whole = CountingSink()
     pmu1 = PMU()
     pmu1.add_counter(CounterConfig(HWEvent.UOPS_RETIRED_ALL, reset), whole)
-    pmu1.process_block(0, 0, 100, {HWEvent.UOPS_RETIRED_ALL: k}, -1)
+    pmu1.process_block(0, 0, 100, event_vector({HWEvent.UOPS_RETIRED_ALL: k}), -1)
 
     split = CountingSink()
     pmu2 = PMU()
     pmu2.add_counter(CounterConfig(HWEvent.UOPS_RETIRED_ALL, reset), split)
     a = k // 2
     if a:
-        pmu2.process_block(0, 0, 50, {HWEvent.UOPS_RETIRED_ALL: a}, -1)
-    pmu2.process_block(0, 50, 50, {HWEvent.UOPS_RETIRED_ALL: k - a}, -1)
+        pmu2.process_block(0, 0, 50, event_vector({HWEvent.UOPS_RETIRED_ALL: a}), -1)
+    pmu2.process_block(0, 50, 50, event_vector({HWEvent.UOPS_RETIRED_ALL: k - a}), -1)
     assert len(whole.timestamps) == len(split.timestamps)
