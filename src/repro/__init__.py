@@ -18,9 +18,8 @@ here::
 Engine layers (:mod:`repro.machine`, :mod:`repro.runtime`,
 :mod:`repro.core`, :mod:`repro.workloads` / :mod:`repro.acl`,
 :mod:`repro.analysis`, :mod:`repro.obs`) remain importable by their full
-module paths for custom assemblies; only the *package-level* re-exports
-of ``repro.core`` and ``repro.machine`` are deprecated (they still work,
-with a :class:`DeprecationWarning` naming the new spelling).
+module paths for custom assemblies (``from repro.core.hybrid import
+integrate``).
 """
 
 from repro.api import (
@@ -53,29 +52,3 @@ __all__ = [
     "recover",
     "__version__",
 ]
-
-#: Pre-1.1 package-level exports, now behind a deprecation shim.
-_DEPRECATED = {
-    "trace": ("repro.session", "trace", "repro.record()"),
-    "TraceSession": ("repro.session", "TraceSession", "repro.session.TraceSession"),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        import importlib
-        import warnings
-
-        module, attr, new = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use {new} (or import it from "
-            f"{module})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__ + list(_DEPRECATED))

@@ -1,13 +1,8 @@
 """Experiment analysis: interval statistics, regressions, report rendering.
 
 Machine-readable output goes through one door: the versioned envelope of
-:mod:`repro.analysis.report` (re-exported here).  The pre-envelope
-spellings — reaching for the per-verb report classes at *this* package
-level to hand-serialize their ad-hoc JSON shapes — are deprecated for
-one release behind a PEP 562 shim: they still resolve, with a
-:class:`DeprecationWarning` naming the supported replacement
-(:mod:`repro.api` verbs, whose reports serialize enveloped via
-``to_json``).
+:mod:`repro.analysis.report` (re-exported here), which the
+:mod:`repro.api` verbs' reports serialize through via ``to_json``.
 """
 
 from repro.analysis.depgraph import (
@@ -49,48 +44,3 @@ __all__ = [
     "to_csv",
     "write_chrome_trace",
 ]
-
-#: Ad-hoc per-verb JSON entry points the envelope replaces, kept one
-#: release behind a deprecation shim: (module, attr, supported spelling).
-_DEPRECATED = {
-    "DiagnosisReport": (
-        "repro.analysis.diagnose",
-        "DiagnosisReport",
-        "repro.api.diagnose() (enveloped to_json)",
-    ),
-    "DiffReport": (
-        "repro.analysis.differential",
-        "DiffReport",
-        "repro.api.diff() (enveloped to_json)",
-    ),
-    "diagnose_trace": (
-        "repro.analysis.diagnose",
-        "diagnose_trace",
-        "repro.api.diagnose()",
-    ),
-    "diff_traces": (
-        "repro.analysis.differential",
-        "diff_traces",
-        "repro.api.diff()",
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        import importlib
-        import warnings
-
-        module, attr, new = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.analysis.{name} is deprecated; use {new} (or import it "
-            f"from {module})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module), attr)
-    raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__ + list(_DEPRECATED))

@@ -19,11 +19,8 @@
 Everything here is a thin, *stable* wrapper over the engine modules
 (:mod:`repro.session`, :mod:`repro.core.streaming`,
 :mod:`repro.analysis.diagnose`, :mod:`repro.analysis.differential`).
-The deep modules remain importable for unusual assemblies, but the
-package-level re-exports of ``repro.core`` / ``repro.machine`` are
-deprecated in favour of this facade; this module itself never imports
-through a deprecated path, so ``python -W error::DeprecationWarning``
-code can use it freely.
+The deep modules remain importable by their full paths for unusual
+assemblies.
 
 Ingestion knobs travel in one :class:`IngestOptions` object everywhere.
 """
@@ -204,6 +201,10 @@ def integrate(
     diagnoser=None,
 ) -> IngestResult:
     """Stream-integrate a container into per-core + merged traces."""
+    if not isinstance(path, (str, pathlib.Path)):
+        raise ReproError(
+            f"cannot integrate a {type(path).__name__}; pass a container path"
+        )
     return ingest_trace(
         path,
         options=options if options is not None else IngestOptions(),

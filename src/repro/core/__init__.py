@@ -16,63 +16,6 @@ Module map:
 * :mod:`~repro.core.overhead` — ref [6]-style overhead prediction.
 * :mod:`~repro.core.storage` — trace encoding and data-rate accounting.
 
-The *package-level* re-exports below (``from repro.core import integrate``)
-are deprecated in favour of the :mod:`repro.api` facade — or, for pieces
-the facade does not cover, the defining submodule (``from
-repro.core.hybrid import integrate``).  They keep working for one
-release, each emitting a :class:`DeprecationWarning` naming the new
-spelling.
+Import from the defining submodule (``from repro.core.hybrid import
+integrate``), or use the :mod:`repro.api` facade.
 """
-
-#: name -> (defining module, attribute, recommended new spelling)
-_EXPORTS = {
-    "AccuracyReport": ("repro.core.compare", "AccuracyReport", None),
-    "AdaptiveResetController": ("repro.core.adaptive", "AdaptiveResetController", None),
-    "AddressAllocator": ("repro.core.symbols", "AddressAllocator", None),
-    "CallGraphGuess": ("repro.core.callgraph", "CallGraphGuess", None),
-    "compare_with_truth": ("repro.core.compare", "compare_with_truth", None),
-    "FluctuationReport": ("repro.core.fluctuation", "FluctuationReport", None),
-    "FullInstrumentationTracer": ("repro.core.fulltrace", "FullInstrumentationTracer", None),
-    "FunctionProfile": ("repro.core.profilelib", "FunctionProfile", None),
-    "HybridTrace": ("repro.core.hybrid", "HybridTrace", None),
-    "ItemWindow": ("repro.core.records", "ItemWindow", None),
-    "MarkingTracer": ("repro.core.instrument", "MarkingTracer", None),
-    "OnlineDiagnoser": ("repro.core.online", "OnlineDiagnoser", None),
-    "OverheadModel": ("repro.core.overhead", "OverheadModel", None),
-    "SwitchRecords": ("repro.core.records", "SwitchRecords", None),
-    "SymbolTable": ("repro.core.symbols", "SymbolTable", None),
-    "TraceFile": ("repro.core.tracefile", "TraceFile", None),
-    "build_profile": ("repro.core.profilelib", "build_profile", None),
-    "build_windows": ("repro.core.records", "build_windows", None),
-    "build_windows_lenient": ("repro.core.records", "build_windows_lenient", None),
-    "diagnose": ("repro.core.fluctuation", "diagnose", "repro.api.diagnose()"),
-    "guess_call_edges": ("repro.core.callgraph", "guess_call_edges", None),
-    "integrate": ("repro.core.hybrid", "integrate", "repro.api.integrate()"),
-    "integrate_by_tag": ("repro.core.registertag", "integrate_by_tag", None),
-    "load_trace": ("repro.core.tracefile", "load_trace", "repro.api.load()"),
-    "merge_traces": ("repro.core.hybrid", "merge_traces", None),
-    "save_session": ("repro.core.tracefile", "save_session", None),
-    "save_trace": ("repro.core.tracefile", "save_trace", None),
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        import importlib
-        import warnings
-
-        module, attr, new = _EXPORTS[name]
-        spelling = new if new is not None else f"{module}.{attr}"
-        warnings.warn(
-            f"'from repro.core import {name}' is deprecated; use {spelling}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module), attr)
-    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return list(__all__)

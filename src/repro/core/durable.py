@@ -68,7 +68,7 @@ from repro.core.tracefile import (
     build_container_members,
     container_path,
 )
-from repro.errors import CorruptionError, RecoveryError, TraceWriteError
+from repro.errors import CorruptionError, RecoveryError, TraceError, TraceWriteError
 from repro.machine.pebs import SampleArrays
 from repro.obs.instrumented import pipeline as _obs
 
@@ -141,6 +141,152 @@ class RecorderIO:
         shutil.rmtree(path, ignore_errors=True)
 
 
+class AppendLog:
+    """One fsync'd, append-only JSONL log and its crash rules.
+
+    Every durable log in the package — the recording journal, the
+    store's run journals and catalog, the replication ledger — is one of
+    these.  The format is fixed per log by the subclass that owns it
+    (:attr:`REQUIRED`, :attr:`SORT_KEYS`, :attr:`READ_ERROR`); callers
+    only read, append, and repair.
+
+    The crash rule: a record is a JSON object carrying the required
+    keys, one per line (a final line that parses without its newline
+    still counts).  The first line that is not a record ends the trusted
+    prefix — an append-only log means nothing past its first corruption
+    — and marks the log *torn*.  Appending after a torn or newline-less
+    tail would fuse two records into one bad line, so :meth:`append`
+    first repairs the file down to its trusted prefix.
+
+    The tail check is a plain read, never a :class:`RecorderIO`
+    operation, so a crash-free append costs exactly its write and fsync.
+    It parses the file once per log object: after that the object trusts
+    its own appends, and re-checks only when the file's size is not the
+    size it left behind (a failed or interrupted write, or another
+    writer).
+    """
+
+    #: Keys every record must carry.
+    REQUIRED: tuple[str, ...] = ()
+    #: Serialize records with sorted keys (else insertion order).
+    SORT_KEYS = False
+    #: Raised when the log exists but cannot be read.
+    READ_ERROR: type[TraceError] = TraceError
+
+    def __init__(self, path: pathlib.Path, io: RecorderIO | None = None) -> None:
+        self.path = pathlib.Path(path)
+        self._io = io if io is not None else RecorderIO()
+        #: File size this object last left behind; None until checked.
+        self._size: int | None = None
+
+    def _encode(self, record: dict) -> bytes:
+        return (json.dumps(record, sort_keys=self.SORT_KEYS) + "\n").encode("utf-8")
+
+    def _scan(self) -> tuple[list[dict], bool, bytes]:
+        """Parse the file; returns (records, torn, raw bytes)."""
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return [], False, b""
+        except OSError as exc:
+            raise self.READ_ERROR(f"cannot read {self.path}: {exc}") from exc
+        records: list[dict] = []
+        torn = False
+        for line in raw.split(b"\n"):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.decode("utf-8"))
+                if not isinstance(rec, dict) or not all(
+                    key in rec for key in self.REQUIRED
+                ):
+                    raise ValueError("not a record of this log")
+            except (ValueError, UnicodeDecodeError):
+                torn = True
+                break
+            records.append(rec)
+        return records, torn, raw
+
+    def read(self) -> tuple[list[dict], bool]:
+        """The trusted prefix of records, and whether anything followed it.
+
+        A missing file reads as empty; a torn tail is expected after a
+        crash and reported via the flag, never as an error.
+        """
+        records, torn, _ = self._scan()
+        return records, torn
+
+    def repair(self) -> list[dict]:
+        """Cut a torn or newline-less log back to its trusted prefix.
+
+        Rewrites atomically (tmp → fsync → replace → fsync dir) and only
+        when needed; returns the trusted records either way.
+        """
+        records, torn, raw = self._scan()
+        if torn or (raw and not raw.endswith(b"\n")):
+            self.rewrite(records)
+        else:
+            self._size = len(raw)
+        return records
+
+    def rewrite(self, records: list[dict]) -> None:
+        """Atomically replace the whole log with ``records``."""
+        data = b"".join(self._encode(r) for r in records)
+        self._size = None
+        try:
+            _write_atomic(self._io, self.path, data)
+        except OSError as exc:
+            raise TraceWriteError(f"cannot rewrite {self.path}: {exc}") from exc
+        self._size = len(data)
+
+    def append(
+        self, record: dict, file: tuple[pathlib.Path, bytes] | None = None
+    ) -> None:
+        """Durably append one record (after repairing a damaged tail).
+
+        With ``file=(path, data)`` the record commits that file: it is
+        written atomically first, and only then does the line land — a
+        crash in between leaves an orphan the log never mentions.
+        """
+        try:
+            on_disk = self.path.stat().st_size
+        except OSError:
+            on_disk = None  # missing or unreadable: let repair() decide
+        if self._size is None or on_disk != self._size:
+            self.repair()
+        line = self._encode(record)
+        size, self._size = self._size, None  # unknown until the line lands
+        try:
+            if file is not None:
+                _write_atomic(self._io, *file)
+            self._io.append_bytes(self.path, line)
+            self._io.fsync_path(self.path)
+        except OSError as exc:
+            target = file[0] if file is not None else self.path
+            raise TraceWriteError(f"cannot commit {target}: {exc}") from exc
+        self._size = size + len(line)
+        if file is not None:
+            ins = _obs()
+            ins.segments_sealed.inc()
+            ins.journal_fsyncs.inc()
+            ins.journal_bytes.inc(len(file[1]) + len(line))
+
+
+class JournalLog(AppendLog):
+    """A journal directory's ``journal.jsonl``: seal and finalize records."""
+
+    REQUIRED = ("op",)
+    READ_ERROR = RecoveryError
+
+
+def _write_atomic(io: RecorderIO, path: pathlib.Path, data: bytes) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    io.write_bytes(tmp, data)
+    io.fsync_path(tmp)
+    io.replace(tmp, path)
+    io.fsync_dir(path.parent)
+
+
 def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
     buf = _io.BytesIO()
     np.savez(buf, **arrays)
@@ -188,7 +334,7 @@ class DurableTraceWriter:
         self.dir = journal_dir_for(path)
         self.compress = compress
         self._io = io if io is not None else RecorderIO()
-        self._journal = self.dir / _JOURNAL_FILE
+        self._journal = JournalLog(self.dir / _JOURNAL_FILE, self._io)
         self._seq = 0
         self.segments_sealed = 0
         self.finalized = False
@@ -279,12 +425,7 @@ class DurableTraceWriter:
             extra_meta=extra_meta,
             _finalizing=True,
         )
-        line = json.dumps({"op": "finalize", "out": str(self.path)}) + "\n"
-        try:
-            self._io.append_bytes(self._journal, line.encode("utf-8"))
-            self._io.fsync_path(self._journal)
-        except OSError as exc:
-            raise _write_failed(self._journal, exc) from exc
+        self._journal.append({"op": "finalize", "out": str(self.path)})
         _obs().journal_fsyncs.inc()
         self._io.rmtree(self.dir)
         self.finalized = True
@@ -300,23 +441,9 @@ class DurableTraceWriter:
         seg_arrays[_SEG_HEADER] = np.frombuffer(
             json.dumps(record).encode("utf-8"), dtype=np.uint8
         ).copy()
-        data = _npz_bytes(seg_arrays)
-        final = self.dir / record["file"]
-        tmp = self.dir / (record["file"] + ".tmp")
-        line = (json.dumps(record) + "\n").encode("utf-8")
-        ins = _obs()
-        try:
-            self._io.write_bytes(tmp, data)
-            self._io.fsync_path(tmp)
-            self._io.replace(tmp, final)
-            self._io.fsync_dir(self.dir)
-            self._io.append_bytes(self._journal, line)
-            self._io.fsync_path(self._journal)
-        except OSError as exc:
-            raise _write_failed(final, exc) from exc
-        ins.segments_sealed.inc()
-        ins.journal_fsyncs.inc()
-        ins.journal_bytes.inc(len(data) + len(line))
+        self._journal.append(
+            record, file=(self.dir / record["file"], _npz_bytes(seg_arrays))
+        )
         self._seq += 1
         self.segments_sealed += 1
         return seq
@@ -372,38 +499,6 @@ class RecoveryReport:
         )
 
 
-def _read_journal(
-    jpath: pathlib.Path,
-) -> tuple[list[dict], bool]:
-    """Parse journal lines; returns (records, torn_tail).
-
-    A torn final line (the process died mid-append) is expected and
-    dropped; any *earlier* unparsable line ends the trusted prefix, since
-    an append-only log is only meaningful up to its first corruption.
-    """
-    try:
-        raw = jpath.read_bytes()
-    except FileNotFoundError:
-        return [], False
-    except OSError as exc:
-        raise RecoveryError(f"cannot read journal {jpath}: {exc}") from exc
-    records: list[dict] = []
-    lines = raw.split(b"\n")
-    torn = False
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line.decode("utf-8"))
-            if not isinstance(rec, dict) or "op" not in rec:
-                raise ValueError("not a journal record")
-        except (ValueError, UnicodeDecodeError):
-            torn = True
-            break
-        records.append(rec)
-    return records, torn
-
-
 def read_journal(jdir: str | pathlib.Path) -> tuple[list[dict], bool]:
     """Parse a journal directory's log; returns (records, torn_tail).
 
@@ -412,7 +507,7 @@ def read_journal(jdir: str | pathlib.Path) -> tuple[list[dict], bool]:
     here over the wire.  A torn final line is expected after a crash and
     reported via the flag, never as an error.
     """
-    return _read_journal(pathlib.Path(jdir) / _JOURNAL_FILE)
+    return JournalLog(pathlib.Path(jdir) / _JOURNAL_FILE).read()
 
 
 def _load_segment(
@@ -509,7 +604,7 @@ def recover(
             f"no recording journal at {jdir} (nothing to recover; a "
             "finalized capture removes its journal)"
         )
-    records, torn = _read_journal(jdir / _JOURNAL_FILE)
+    records, torn = JournalLog(jdir / _JOURNAL_FILE).read()
     manifest = next(
         (r for r in records if r.get("kind") == KIND_SEG_MANIFEST), None
     )
@@ -873,7 +968,9 @@ def _deep_merge(dst: dict, src: dict) -> None:
 
 
 __all__ = [
+    "AppendLog",
     "DurableTraceWriter",
+    "JournalLog",
     "RecorderIO",
     "RecoveryReport",
     "SegmentRing",

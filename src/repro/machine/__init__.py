@@ -10,51 +10,7 @@ The substrate executes :class:`~repro.machine.block.Block` quanta emitted by
 application code and charges cycles, counts hardware events, and produces
 samples exactly where a real PMU would.
 
-The *package-level* re-exports (``from repro.machine import Machine``)
-are deprecated: import from the defining submodule instead (``from
-repro.machine.machine import Machine``), or use the :mod:`repro.api`
-facade, which assembles the machine for you.  They keep working for one
-release, each emitting a :class:`DeprecationWarning`.
+Import from the defining submodule (``from repro.machine.machine import
+Machine``), or use the :mod:`repro.api` facade, which assembles the
+machine for you.
 """
-
-#: name -> (defining module, attribute)
-_EXPORTS = {
-    "Block": ("repro.machine.block", "Block"),
-    "BlockOutcome": ("repro.machine.block", "BlockOutcome"),
-    "CacheHierarchy": ("repro.machine.cache", "CacheHierarchy"),
-    "CounterConfig": ("repro.machine.pmu", "CounterConfig"),
-    "HWEvent": ("repro.machine.events", "HWEvent"),
-    "Machine": ("repro.machine.machine", "Machine"),
-    "MachineSpec": ("repro.machine.config", "MachineSpec"),
-    "MemRef": ("repro.machine.block", "MemRef"),
-    "PEBSConfig": ("repro.machine.pebs", "PEBSConfig"),
-    "PEBSUnit": ("repro.machine.pebs", "PEBSUnit"),
-    "PMU": ("repro.machine.pmu", "PMU"),
-    "Sample": ("repro.machine.pebs", "Sample"),
-    "SetAssocCache": ("repro.machine.cache", "SetAssocCache"),
-    "SimCore": ("repro.machine.core", "SimCore"),
-    "SoftwareSampler": ("repro.machine.sampler", "SoftwareSampler"),
-    "SoftwareSamplerConfig": ("repro.machine.sampler", "SoftwareSamplerConfig"),
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS:
-        import importlib
-        import warnings
-
-        module, attr = _EXPORTS[name]
-        warnings.warn(
-            f"'from repro.machine import {name}' is deprecated; import it "
-            f"from {module}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module), attr)
-    raise AttributeError(f"module 'repro.machine' has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return list(__all__)

@@ -42,13 +42,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import hmac
-import json
 import pathlib
 import random
 import zlib
 from dataclasses import dataclass
 
-from repro.core.durable import _seg_name, read_journal
+from repro.core.durable import AppendLog, _seg_name, read_journal
 from repro.errors import (
     CorruptionError,
     ProtocolError,
@@ -88,6 +87,18 @@ def auth_proof(token: bytes, nonce: str) -> str:
 # -- the replication ledger (primary side) ----------------------------------
 
 
+class LedgerLog(AppendLog):
+    """``replication.jsonl``: one line per follower confirmation."""
+
+    REQUIRED = ("run", "replica")
+    SORT_KEYS = True
+    READ_ERROR = StoreError
+
+
+def _ledger(store: TraceStore) -> LedgerLog:
+    return LedgerLog(store.root / _LEDGER_FILE, store._io)
+
+
 def record_replication(store: TraceStore, run_id: str, replica_id: str) -> None:
     """Durably note that ``replica_id`` holds ``run_id``'s container.
 
@@ -95,17 +106,7 @@ def record_replication(store: TraceStore, run_id: str, replica_id: str) -> None:
     survive a primary restart, or retention could delete the only copy
     of a run whose replication the crash forgot.
     """
-    line = (
-        json.dumps({"run": run_id, "replica": replica_id}, sort_keys=True) + "\n"
-    ).encode("utf-8")
-    path = store.root / _LEDGER_FILE
-    try:
-        store._io.append_bytes(path, line)
-        store._io.fsync_path(path)
-    except OSError as exc:
-        raise TraceWriteError(
-            f"cannot record replication in {path}: {exc}"
-        ) from exc
+    _ledger(store).append({"run": run_id, "replica": replica_id})
 
 
 def replica_confirmations(store: TraceStore) -> dict[str, set[str]]:
@@ -114,23 +115,9 @@ def replica_confirmations(store: TraceStore) -> dict[str, set[str]]:
     Torn tails (crash mid-append) end the parse, exactly like the
     catalog: a half-written confirmation never counts toward quorum.
     """
-    path = store.root / _LEDGER_FILE
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        return {}
-    except OSError as exc:
-        raise StoreError(f"cannot read replication ledger {path}: {exc}") from exc
     out: dict[str, set[str]] = {}
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line.decode("utf-8"))
-            run, replica = rec["run"], rec["replica"]
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-            break
-        out.setdefault(run, set()).add(replica)
+    for rec in _ledger(store).read()[0]:
+        out.setdefault(rec["run"], set()).add(rec["replica"])
     return out
 
 

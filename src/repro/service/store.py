@@ -13,7 +13,8 @@ Durability is two nested commit points, both inherited from
 * **Segment commit** — a pushed segment is validated against its own
   crc *before* anything touches disk, then sealed with the exact
   write→fsync→rename→fsync(dir)→journal-append→fsync discipline of
-  :class:`~repro.core.durable.DurableTraceWriter`.  The daemon ACKs only
+  :class:`~repro.core.durable.DurableTraceWriter` (both seal through
+  :meth:`~repro.core.durable.AppendLog.append`).  The daemon ACKs only
   after this returns, so *ACKed ⊆ journal-sealed*: a kill at any instant
   loses at most a segment that was never acknowledged.
 * **Run commit** — compaction replays the run's journal through
@@ -45,9 +46,10 @@ from repro.core.durable import (
     KIND_SEG_META,
     KIND_SEG_SAMPLES,
     KIND_SEG_SWITCH,
+    AppendLog,
+    JournalLog,
     RecorderIO,
     _seg_name,
-    read_journal,
     recover,
 )
 from repro.core.integrity import POLICY_STRICT, member_crc
@@ -71,6 +73,34 @@ _SEG_KINDS = (KIND_SEG_MANIFEST, KIND_SEG_SAMPLES, KIND_SEG_SWITCH, KIND_SEG_MET
 #: Run ids become directory names; this shape excludes separators,
 #: dotfiles, and anything a shell or URL would mangle.
 RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+
+
+class CatalogLog(AppendLog):
+    """``catalog.jsonl``: one commit line per run, plus retire tombstones."""
+
+    REQUIRED = ("run",)
+    SORT_KEYS = True
+    READ_ERROR = StoreError
+
+
+class RunJournalLog(JournalLog):
+    """A store run's journal: the recording journal's records, key-sorted."""
+
+    SORT_KEYS = True
+
+
+def _fold_catalog(records: list[dict]) -> dict[str, dict]:
+    """Committed runs, in commit order, from the catalog's records."""
+    entries: dict[str, dict] = {}
+    for rec in records:
+        if rec.get("op") == "retire":
+            # Retention tombstone: the run moved to cold storage.  A
+            # later commit line for the same id (a deliberate re-push)
+            # makes it live again, so order matters here.
+            entries.pop(rec["run"], None)
+        else:
+            entries.setdefault(rec["run"], rec)
+    return entries
 
 
 def check_run_id(run_id: str) -> str:
@@ -142,10 +172,12 @@ class TraceStore:
         self.root = pathlib.Path(root)
         self.options = options if options is not None else IngestOptions()
         self._io = io if io is not None else RecorderIO()
-        self._catalog = self.root / _CATALOG_FILE
+        self._catalog = CatalogLog(self.root / _CATALOG_FILE, self._io)
         #: run id -> {seq: crc signature} for every open run journal,
         #: loaded lazily; the dedupe map behind idempotent re-push.
         self._seals: dict[str, dict[int, str]] = {}
+        #: run id -> its journal's log, reused so appends skip re-parsing.
+        self._journals: dict[str, RunJournalLog] = {}
         self._committed: dict[str, dict] | None = None
         try:
             self._io.makedirs(self.root / "runs")
@@ -164,41 +196,10 @@ class TraceStore:
         return self.run_dir(run_id) / "trace.npz"
 
     # -- catalog ---------------------------------------------------------
-    def _read_catalog(self) -> tuple[dict[str, dict], bool]:
-        """Parse the catalog; returns (entries, torn_tail)."""
-        try:
-            raw = self._catalog.read_bytes()
-        except FileNotFoundError:
-            return {}, False
-        except OSError as exc:
-            raise StoreError(f"cannot read catalog {self._catalog}: {exc}") from exc
-        entries: dict[str, dict] = {}
-        torn = False
-        for line in raw.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-                if not isinstance(rec, dict) or "run" not in rec:
-                    raise ValueError("not a catalog record")
-            except (ValueError, UnicodeDecodeError):
-                # A torn tail is the expected shape of a crash mid-append;
-                # recovery rewrites the file before appending again.
-                torn = True
-                break
-            if rec.get("op") == "retire":
-                # Retention tombstone: the run moved to cold storage.  A
-                # later commit line for the same id (a deliberate
-                # re-push) makes it live again, so order matters here.
-                entries.pop(rec["run"], None)
-            else:
-                entries.setdefault(rec["run"], rec)
-        return entries, torn
-
     def catalog(self) -> dict[str, dict]:
         """Committed runs (cached; invalidated by commits/recovery)."""
         if self._committed is None:
-            self._committed, _ = self._read_catalog()
+            self._committed = _fold_catalog(self._catalog.read()[0])
         return self._committed
 
     def committed(self, run_id: str) -> bool:
@@ -218,43 +219,27 @@ class TraceStore:
             )
         return self.container_path(run_id)
 
-    def _append_catalog(self, entry: dict) -> None:
-        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
-        try:
-            self._io.append_bytes(self._catalog, line)
-            self._io.fsync_path(self._catalog)
-        except OSError as exc:
-            raise TraceWriteError(
-                f"cannot commit run to catalog {self._catalog}: {exc}"
-            ) from exc
+    def _commit(self, entry: dict) -> None:
+        self._catalog.append(entry)
         if self._committed is not None:
             self._committed.setdefault(entry["run"], entry)
 
-    def _rewrite_catalog(self, entries: dict[str, dict]) -> None:
-        """Atomically rewrite a catalog whose tail was torn by a crash.
-
-        Appending after a torn (newline-less) tail would fuse two records
-        into one unparsable line, so recovery compacts first.
-        """
-        tmp = self._catalog.with_name(_CATALOG_FILE + ".tmp")
-        data = "".join(
-            json.dumps(e, sort_keys=True) + "\n" for e in entries.values()
-        ).encode("utf-8")
-        try:
-            self._io.write_bytes(tmp, data)
-            self._io.fsync_path(tmp)
-            self._io.replace(tmp, self._catalog)
-            self._io.fsync_dir(self.root)
-        except OSError as exc:
-            raise TraceWriteError(
-                f"cannot rewrite torn catalog {self._catalog}: {exc}"
-            ) from exc
-        self._committed = dict(entries)
-
     # -- segment admission ----------------------------------------------
+    def _journal(self, run_id: str) -> RunJournalLog:
+        log = self._journals.get(run_id)
+        if log is None:
+            log = RunJournalLog(self.journal_dir(run_id) / _JOURNAL_FILE, self._io)
+            self._journals[run_id] = log
+        return log
+
+    def _forget(self, run_id: str) -> None:
+        """Drop the cached state of a run whose journal went away."""
+        self._seals.pop(run_id, None)
+        self._journals.pop(run_id, None)
+
     def _load_seals(self, run_id: str) -> dict[int, str]:
         if run_id not in self._seals:
-            records, _torn = read_journal(self.journal_dir(run_id))
+            records, _torn = self._journal(run_id).read()
             self._seals[run_id] = {
                 r["seq"]: _crc_signature(r)
                 for r in records
@@ -272,7 +257,7 @@ class TraceStore:
 
     def finished(self, run_id: str) -> bool:
         """True once the run journal carries its finish marker."""
-        records, _ = read_journal(self.journal_dir(run_id))
+        records, _ = self._journal(run_id).read()
         return any(r.get("op") == "finalize" for r in records)
 
     def append_segment(self, run_id: str, record: dict, data: bytes) -> bool:
@@ -303,27 +288,15 @@ class TraceStore:
                 )
             return False
         jdir = self.journal_dir(run_id)
-        final = jdir / record["file"]
-        tmp = jdir / (record["file"] + ".tmp")
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        ins = _obs()
         try:
             self._io.makedirs(jdir)
-            self._io.write_bytes(tmp, data)
-            self._io.fsync_path(tmp)
-            self._io.replace(tmp, final)
-            self._io.fsync_dir(jdir)
-            self._io.append_bytes(jdir / _JOURNAL_FILE, line)
-            self._io.fsync_path(jdir / _JOURNAL_FILE)
         except OSError as exc:
             raise TraceWriteError(
                 f"store {self.root}: sealing {run_id}/{record['file']} "
                 f"failed: {exc}"
             ) from exc
+        self._journal(run_id).append(record, file=(jdir / record["file"], data))
         seals[seq] = sig
-        ins.segments_sealed.inc()
-        ins.journal_fsyncs.inc()
-        ins.journal_bytes.inc(len(data) + len(line))
         return True
 
     # -- run completion --------------------------------------------------
@@ -342,17 +315,9 @@ class TraceStore:
             raise StoreError(f"run {run_id!r} has no journal to finish")
         if self.finished(run_id):
             return
-        line = (
-            json.dumps({"op": "finalize", "out": str(self.container_path(run_id))})
-            + "\n"
-        ).encode("utf-8")
-        try:
-            self._io.append_bytes(jdir / _JOURNAL_FILE, line)
-            self._io.fsync_path(jdir / _JOURNAL_FILE)
-        except OSError as exc:
-            raise TraceWriteError(
-                f"store {self.root}: finishing run {run_id!r} failed: {exc}"
-            ) from exc
+        self._journal(run_id).append(
+            {"op": "finalize", "out": str(self.container_path(run_id))}
+        )
         _obs().journal_fsyncs.inc()
 
     @staticmethod
@@ -406,9 +371,9 @@ class TraceStore:
             "committed_at": time.time(),
             "interrupted": self._was_interrupted(out),
         }
-        self._append_catalog(entry)
+        self._commit(entry)
         self._io.rmtree(jdir)
-        self._seals.pop(run_id, None)
+        self._forget(run_id)
         return out
 
     # -- replication support ---------------------------------------------
@@ -477,11 +442,11 @@ class TraceStore:
                 f"run {run_id!r} failed: {exc}"
             ) from exc
         if not self.committed(run_id):
-            self._append_catalog({**entry, "run": run_id})
+            self._commit({**entry, "run": run_id})
         jdir = self.journal_dir(run_id)
         if jdir.is_dir():
             self._io.rmtree(jdir)
-        self._seals.pop(run_id, None)
+        self._forget(run_id)
         return dest
 
     def drop_segment(self, run_id: str, seq: int) -> bool:
@@ -499,8 +464,8 @@ class TraceStore:
                 f"run {run_id!r} is committed; its segments are part of "
                 "the container now"
             )
-        jdir = self.journal_dir(run_id)
-        records, _torn = read_journal(jdir)
+        log = self._journal(run_id)
+        records, _torn = log.read()
         kept = [
             r
             for r in records
@@ -508,13 +473,13 @@ class TraceStore:
         ]
         if len(kept) == len(records):
             return False
-        self._rewrite_journal(jdir, kept)
-        seg = jdir / _seg_name(seq)
+        log.rewrite(kept)
+        seg = self.journal_dir(run_id) / _seg_name(seq)
         try:
             seg.unlink()
         except OSError:  # pragma: no cover - already gone
             pass
-        self._seals.pop(run_id, None)
+        self._forget(run_id)
         return True
 
     def tombstone_run(self, run_id: str, *, archive: str) -> None:
@@ -529,20 +494,7 @@ class TraceStore:
         check_run_id(run_id)
         if not self.committed(run_id):
             raise StoreError(f"run {run_id!r} is not committed; nothing to retire")
-        line = (
-            json.dumps(
-                {"run": run_id, "op": "retire", "archive": archive},
-                sort_keys=True,
-            )
-            + "\n"
-        ).encode("utf-8")
-        try:
-            self._io.append_bytes(self._catalog, line)
-            self._io.fsync_path(self._catalog)
-        except OSError as exc:
-            raise TraceWriteError(
-                f"cannot retire run {run_id!r} in catalog {self._catalog}: {exc}"
-            ) from exc
+        self._catalog.append({"run": run_id, "op": "retire", "archive": archive})
         if self._committed is not None:
             self._committed.pop(run_id, None)
 
@@ -554,7 +506,7 @@ class TraceStore:
                 f"run {run_id!r} is still committed; tombstone it first"
             )
         self._io.rmtree(self.run_dir(run_id))
-        self._seals.pop(run_id, None)
+        self._forget(run_id)
 
     def quarantine_segment(
         self, run_id: str, seq, data: bytes, reason: str
@@ -603,7 +555,7 @@ class TraceStore:
             raise TraceWriteError(
                 f"store {self.root}: quarantining run {run_id!r} failed: {exc}"
             ) from exc
-        self._seals.pop(run_id, None)
+        self._forget(run_id)
         return qdir
 
     # -- startup recovery ------------------------------------------------
@@ -635,10 +587,9 @@ class TraceStore:
           swept).
         """
         self._seals.clear()
+        self._journals.clear()
         self._committed = None
-        entries, torn = self._read_catalog()
-        if torn:
-            self._rewrite_catalog(entries)
+        entries = _fold_catalog(self._catalog.repair())
         self._committed = entries
         actions: dict[str, str] = {}
         runs_dir = self.root / "runs"
@@ -669,30 +620,10 @@ class TraceStore:
                         tmp.unlink()
                     except OSError:  # pragma: no cover - best-effort sweep
                         pass
-                records, torn = read_journal(jdir)
-                if torn:
-                    # The run will be appended to when its producer
-                    # resumes; appending after a newline-less torn tail
-                    # would fuse two records, so compact the log now.
-                    self._rewrite_journal(jdir, records)
+                # The producer resumes by appending; cut a torn tail now.
+                self._journal(run_id).repair()
                 actions[run_id] = "resumable"
         return actions
-
-    def _rewrite_journal(self, jdir: pathlib.Path, records: list[dict]) -> None:
-        jpath = jdir / _JOURNAL_FILE
-        tmp = jdir / (_JOURNAL_FILE + ".tmp")
-        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode(
-            "utf-8"
-        )
-        try:
-            self._io.write_bytes(tmp, data)
-            self._io.fsync_path(tmp)
-            self._io.replace(tmp, jpath)
-            self._io.fsync_dir(jdir)
-        except OSError as exc:
-            raise TraceWriteError(
-                f"cannot rewrite torn journal {jpath}: {exc}"
-            ) from exc
 
 
 __all__ = ["TraceStore", "check_run_id", "validate_segment", "RUN_ID_RE"]

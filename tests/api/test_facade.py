@@ -1,14 +1,10 @@
-"""The facade round-trips, and every deprecated spelling still works.
-
-Two contracts in here:
+"""The facade round-trips cleanly and refuses what it cannot take.
 
 * ``repro.api`` (and the ``repro`` re-exports) never touch a deprecated
   path — the whole record → diagnose → diff round-trip runs under
   ``DeprecationWarning``-as-error.
-* the pre-1.1 spellings (``repro.trace``, ``from repro.core import
-  integrate``, ``from repro.machine import Machine``, legacy
-  ``ingest_trace`` keywords) keep working for one release, each with a
-  warning that names the replacement.
+* a verb handed the wrong kind of source fails with a typed
+  :class:`~repro.errors.ReproError` naming what it accepts.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import repro
 import repro.api as api
 from repro.core.options import IngestOptions
 from repro.core.streaming import ingest_trace
-from repro.errors import TraceError
+from repro.errors import ReproError, TraceError
 
 
 @pytest.fixture(scope="module")
@@ -62,48 +58,12 @@ class TestRoundTrip:
         streamed = api.diagnose(run_npz, stream=True)
         assert streamed.to_json() == one_shot.to_json()
 
-
-class TestDeprecatedSpellings:
-    def test_repro_trace_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.record\(\)"):
-            fn = repro.trace
-        from repro.session import trace
-
-        assert fn is trace
-
-    def test_core_reexport_warns_with_new_spelling(self):
-        import repro.core as core
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api\.integrate\(\)"):
-            fn = core.integrate
-        from repro.core.hybrid import integrate as real
-
-        assert fn is real
-
-    def test_machine_reexport_warns(self):
-        import repro.machine as machine
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.machine\.machine"):
-            cls = machine.Machine
-        from repro.machine.machine import Machine
-
-        assert cls is Machine
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.no_such_thing  # noqa: B018
-        import repro.core as core
-
-        with pytest.raises(AttributeError):
-            core.no_such_thing  # noqa: B018
-
-    def test_dir_lists_deprecated_names(self):
-        import repro.core as core
-        import repro.machine as machine
-
-        assert "trace" in dir(repro)
-        assert "integrate" in dir(core)
-        assert "Machine" in dir(machine)
+    def test_non_path_sources_refused_cleanly(self):
+        session = api.record("sampleapp", items=10, reset_value=2000)
+        with pytest.raises(ReproError, match="cannot diagnose a TraceSession"):
+            repro.diagnose(session)
+        with pytest.raises(ReproError, match="cannot integrate a TraceSession"):
+            repro.integrate(session)
 
 
 class TestIngestOptions:

@@ -165,28 +165,16 @@ class TestAttributionSchema:
 
 
 class TestDeprecatedAnalysisSurface:
-    def test_shimmed_names_warn_and_resolve(self):
+    def test_expired_shim_names_are_gone(self):
         import repro.analysis as analysis
 
-        for name, target_module in [
-            ("DiagnosisReport", "repro.analysis.diagnose"),
-            ("DiffReport", "repro.analysis.differential"),
-            ("diagnose_trace", "repro.analysis.diagnose"),
-            ("diff_traces", "repro.analysis.differential"),
-        ]:
-            with pytest.warns(DeprecationWarning, match=name):
-                obj = getattr(analysis, name)
-            mod = __import__(target_module, fromlist=[name])
-            assert obj is getattr(mod, name)
+        for name in ("DiagnosisReport", "DiffReport", "diagnose_trace", "diff_traces"):
+            with pytest.raises(AttributeError):
+                getattr(analysis, name)
+            assert name not in dir(analysis)
 
     def test_unknown_attribute_still_raises(self):
         import repro.analysis as analysis
 
         with pytest.raises(AttributeError):
             analysis.no_such_thing
-
-    def test_dir_lists_deprecated_names(self):
-        import repro.analysis as analysis
-
-        listing = dir(analysis)
-        assert "diagnose_trace" in listing and "envelope" in listing

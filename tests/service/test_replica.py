@@ -254,6 +254,22 @@ class TestLedger:
         confirmed = replica_confirmations(store)
         assert confirmed == {"r1": {"replica-a"}}
 
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_confirmations_after_torn_tail_count(self, tmp_path, restart):
+        store = TraceStore(tmp_path / "s")
+        record_replication(store, "r1", "replica-a")
+        with open(store.root / "replication.jsonl", "ab") as fh:
+            fh.write(b'{"replica": "replica-a", "ru')  # crash mid-append
+        if restart:
+            store = TraceStore(store.root)
+            store.recover_store()
+        record_replication(store, "r2", "replica-a")
+        record_replication(store, "r2", "replica-b")
+        assert replica_confirmations(store) == {
+            "r1": {"replica-a"},
+            "r2": {"replica-a", "replica-b"},
+        }
+
 
 class TestAuth:
     TOKEN = b"swordfish"

@@ -173,6 +173,19 @@ class TestArchive:
         assert report.swept == ["r1"]
         assert not store.run_dir("r1").exists()
 
+    def test_offline_retire_after_torn_catalog_tail(self, template, tmp_path):
+        store = clone(template, tmp_path / "s")
+        with open(store.root / "catalog.jsonl", "ab") as fh:
+            fh.write(b'{"run": "half')  # crash mid-append: no newline
+        # No recover_store(): the offline retention pass appends directly.
+        report = retire_runs(TraceStore(store.root), RetentionPolicy(max_runs=2))
+        assert report.retired == ["r1"]
+        probe = TraceStore(store.root)
+        assert probe.runs() == ["r2", "r3"]
+        for r in ("r2", "r3"):
+            with np.load(probe.path_for(r), allow_pickle=False) as npz:
+                assert npz.files
+
 
 def assert_no_run_lost(root, original):
     """Every original run is live or byte-identical in some archive."""

@@ -205,6 +205,22 @@ class TestRecovery:
         for line in (store.root / "catalog.jsonl").read_bytes().splitlines():
             json.loads(line)  # every surviving line parses
 
+    def test_newline_less_catalog_tail_survives_next_commit(self, store, segments):
+        for rid in ("r1", "r2"):
+            seal_all(store, rid, segments[:4])
+            store.finish_run(rid)
+            store.compact_run(rid)
+        catalog = store.root / "catalog.jsonl"
+        # Crash after the last line's JSON landed but before its newline:
+        # the line still counts, and the next commit must not fuse with it.
+        catalog.write_bytes(catalog.read_bytes()[:-1])
+        fresh = TraceStore(store.root)
+        fresh.recover_store()
+        seal_all(fresh, "r3", segments[:4])
+        fresh.finish_run("r3")
+        fresh.compact_run("r3")
+        assert TraceStore(store.root).runs() == ["r1", "r2", "r3"]
+
     def test_torn_run_journal_tail_rewritten(self, store, segments):
         seal_all(store, "r1", segments[:3])
         jpath = store.journal_dir("r1") / "journal.jsonl"
