@@ -95,12 +95,14 @@ def _overlap_slice(w: WaitColumns, t0: int, t1: int):
     """(index array, clipped cycles) of edges overlapping [t0, t1).
 
     Per-core edges are recorded in that core's virtual-time order, so
-    both ``ts`` and ``ts + cycles`` ascend and the overlapping run is
-    contiguous — two binary searches, no scan.
+    both ``ts`` and ``ends`` ascend and the overlapping run is
+    contiguous: one binary search over ``ends`` finds the first edge
+    ending after ``t0``, one over ``ts`` the first starting at or after
+    ``t1`` — no scan.
     """
     if len(w) == 0 or t1 <= t0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ends = w.ts + w.cycles
+    ends = w.ends
     lo = int(np.searchsorted(ends, t0, side="right"))
     hi = int(np.searchsorted(w.ts, t1, side="left"))
     if hi <= lo:
@@ -198,30 +200,73 @@ def item_wait_cycles(
     compares the median of these totals between two runs against the
     growth of total residency: a regression whose growth is wait-borne
     is contention, the rest is code.
+
+    Each window's total is what :func:`_overlap_slice` would sum, for all
+    windows at once: over the overlapping run ``[lo, hi)`` an edge
+    contributes ``min(end, t1) - max(ts, t0)``, and since ``ts`` and
+    ``ends`` ascend, the edges clipped at ``t1`` form a suffix of the run
+    and those clipped at ``t0`` a prefix.  Two more binary searches find
+    them; prefix sums of ``ts`` and ``ends`` give the rest.  The sums may
+    wrap in int64 on a long trace, but the arithmetic is modular and each
+    window's total fits, so the totals are exact.  O((windows + edges)
+    log edges).
     """
     if len(windows) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    order = np.argsort(windows.item_id, kind="stable")
-    uniq, start = np.unique(windows.item_id[order], return_index=True)
-    totals = np.zeros(uniq.shape[0], dtype=np.int64)
-    if len(w):
-        slot = np.searchsorted(uniq, windows.item_id)
-        for row in range(len(windows)):
-            _idx, clipped = _overlap_slice(
-                w, int(windows.t_start[row]), int(windows.t_end[row])
-            )
-            if clipped.shape[0]:
-                totals[slot[row]] += int(clipped.sum())
-    return uniq.astype(np.int64), totals
+    order, items, start = windows.by_item()
+    if len(w) == 0:
+        return items, np.zeros(items.shape[0], dtype=np.int64)
+    ts = w.ts.astype(np.int64, copy=False)
+    ends = w.ends.astype(np.int64, copy=False)
+    t0 = windows.t_start.astype(np.int64, copy=False)
+    t1 = windows.t_end.astype(np.int64, copy=False)
+    lo = np.searchsorted(ends, t0, side="right")
+    hi = np.searchsorted(ts, t1, side="left")
+    # Edges in [lo, j1) end before t1; edges in [j0, hi) start after t0.
+    # With t1 > t0 the run is never inverted (no edge ends before it
+    # starts); windows with t1 <= t0 are zeroed below.
+    j1 = np.clip(np.searchsorted(ends, t1, side="left"), lo, hi)
+    j0 = np.clip(np.searchsorted(ts, t0, side="right"), lo, hi)
+    cum_ts = np.concatenate(([0], np.cumsum(ts)))
+    cum_ends = np.concatenate(([0], np.cumsum(ends)))
+    clipped = (
+        (cum_ends[j1] - cum_ends[lo])
+        + t1 * (hi - j1)
+        - (cum_ts[hi] - cum_ts[j0])
+        - t0 * (j0 - lo)
+    )
+    per_window = np.where(t1 > t0, clipped, 0)
+    return items, np.add.reduceat(per_window[order], start)
+
+
+def item_hulls(
+    windows: WindowColumns,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[t_start, t_end) hull of every item's windows, in one pass.
+
+    Returns ``(items asc, hull starts, hull ends)``; an item split over
+    several windows (timer switching) gets the span from its first
+    start to its last end.
+    """
+    if len(windows) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    order, items, start = windows.by_item()
+    return (
+        items,
+        np.minimum.reduceat(windows.t_start[order], start).astype(np.int64),
+        np.maximum.reduceat(windows.t_end[order], start).astype(np.int64),
+    )
 
 
 def window_of_item(windows: WindowColumns, item_id: int) -> tuple[int, int] | None:
     """[t_start, t_end) hull of one item's windows, or None if absent."""
-    mask = windows.item_id == item_id
-    if not np.any(mask):
+    items, lo, hi = item_hulls(windows)
+    pos = int(np.searchsorted(items, item_id))
+    if pos == items.shape[0] or items[pos] != item_id:
         return None
-    return int(windows.t_start[mask].min()), int(windows.t_end[mask].max())
+    return int(lo[pos]), int(hi[pos])
 
 
 def describe_chain(chain: tuple[WaitHop, ...]) -> str:
@@ -240,6 +285,7 @@ __all__ = [
     "heaviest_wait",
     "blocked_by_chain",
     "item_wait_cycles",
+    "item_hulls",
     "window_of_item",
     "describe_chain",
 ]

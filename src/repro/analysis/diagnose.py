@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.fluctuation import UNATTRIBUTED
 from repro.core.hybrid import HybridTrace
-from repro.core.records import WindowColumns
+from repro.core.records import item_totals
 from repro.errors import TraceError
 from repro.obs.instrumented import pipeline as _obs
 
@@ -87,22 +87,6 @@ def sample_confidence(
 
 # ---------------------------------------------------------------------------
 # Vectorised grouped statistics
-
-
-def item_totals(cols: WindowColumns) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item total residency from window columns: (items, totals).
-
-    Items ascend; an item occupying several windows (timer switching)
-    has its durations summed — one ``argsort`` + ``reduceat``, no Python
-    loop over windows.
-    """
-    if len(cols) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    durations = cols.t_end - cols.t_start
-    order = np.argsort(cols.item_id, kind="stable")
-    uniq, start = np.unique(cols.item_id[order], return_index=True)
-    return uniq.astype(np.int64), np.add.reduceat(durations[order], start)
 
 
 def grouped_median(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -354,18 +338,31 @@ class DiagnosisReport:
 # One-shot engine
 
 
+def _group_medians(per_item_bd: dict[int, dict[str, int]]) -> dict[str, float]:
+    """Median elapsed per function over one group's members, names ascending.
+
+    A member the function never ran in counts as 0.  Computed once per
+    group, however many of its members are outliers.
+    """
+    names = sorted(set().union(*per_item_bd.values()))
+    return {
+        fn: float(np.median([bd.get(fn, 0) for bd in per_item_bd.values()]))
+        for fn in names
+    }
+
+
 def _attribute(
     trace: HybridTrace,
     item: int,
-    members: list[int],
-    per_item_bd: dict[int, dict[str, int]],
-    min_samples: int,
+    item_bd: dict[str, int],
+    medians: dict[str, float],
     reset_value: int,
 ) -> tuple[FunctionAttribution, ...]:
-    """Rank functions by their share of one outlier item's excess time."""
-    fn_names: set[str] = set()
-    for bd in per_item_bd.values():
-        fn_names.update(bd)
+    """Rank functions by their share of one outlier item's excess time.
+
+    ``medians`` come in name order and the ranking sort is stable, so
+    functions with equal excess rank by name.
+    """
     total_mapped = sum(
         e.n_samples
         for e in (trace.estimate(item, f) for f in trace.breakdown(item, 0))
@@ -373,9 +370,8 @@ def _attribute(
     )
     attrs: list[FunctionAttribution] = []
     excesses: dict[str, int] = {}
-    for fn in fn_names:
-        med = float(np.median([per_item_bd[m].get(fn, 0) for m in members]))
-        excess = int(per_item_bd[item].get(fn, 0) - med)
+    for fn, med in medians.items():
+        excess = int(item_bd.get(fn, 0) - med)
         if excess > 0:
             excesses[fn] = excess
     total_excess = sum(excesses.values())
@@ -448,14 +444,14 @@ def diagnose_trace(
     )
 
     items_arr, totals_arr = item_totals(trace.window_columns)
-    sampled = set(trace.items())
+    sampled = set(trace.item_ids.tolist())
     if degraded_items:
         # A degraded item may have lost *every* sample (a whole shed or
         # unrecovered span); its window ground truth still classifies it,
         # and silently dropping it would hide exactly the loss the flag
         # exists to surface.
         sampled |= {int(i) for i in degraded_items}
-    keep = np.asarray([int(i) in sampled for i in items_arr], dtype=bool)
+    keep = np.asarray([i in sampled for i in items_arr.tolist()], dtype=bool)
     items_arr = items_arr[keep]
     totals_arr = totals_arr[keep].astype(np.float64)
     ins = _obs()
@@ -516,39 +512,44 @@ def diagnose_trace(
     # Per-item breakdowns (incl. the stall pseudo-function) are needed
     # only for groups that actually contain outliers.
     members_of: dict[int, list[int]] = {}
-    for pos, item in enumerate(items_arr.tolist()):
-        members_of.setdefault(int(codes[pos]), []).append(int(item))
+    for item, c in zip(items_arr.tolist(), codes.tolist()):
+        members_of.setdefault(c, []).append(item)
     bd_cache: dict[int, dict[int, dict[str, int]]] = {}
-    for c in set(int(codes[p]) for p in np.nonzero(outlier_mask)[0].tolist()):
+    medians_of: dict[int, dict[str, float]] = {}
+    for c in set(codes[outlier_mask].tolist()):
         per_item = {}
         for m in members_of[c]:
             bd = dict(trace.breakdown(m, min_samples=min_samples))
             bd[UNATTRIBUTED] = trace.unattributed_cycles(m, min_samples=min_samples)
             per_item[m] = bd
         bd_cache[c] = per_item
+        medians_of[c] = _group_medians(per_item)
 
     verdicts: list[ItemVerdict] = []
-    for pos, item in enumerate(items_arr.tolist()):
-        c = int(codes[pos])
-        is_out = bool(outlier_mask[pos])
-        total = int(totals_arr[pos])
-        center = float(centers[c])
+    center_of = centers.tolist()
+    for item, c, is_out, total, deviation in zip(
+        items_arr.tolist(),
+        codes.tolist(),
+        outlier_mask.tolist(),
+        totals_arr.tolist(),
+        deviations.tolist(),
+    ):
+        total = int(total)
+        center = center_of[c]
         attrs: tuple[FunctionAttribution, ...] = ()
         if is_out:
-            attrs = _attribute(
-                trace, int(item), members_of[c], bd_cache[c], min_samples, R
-            )
+            attrs = _attribute(trace, item, bd_cache[c][item], medians_of[c], R)
         verdicts.append(
             ItemVerdict(
-                item_id=int(item),
+                item_id=item,
                 group=group_keys[c],
                 total_cycles=total,
                 center_cycles=center,
-                deviation=float(deviations[pos]),
+                deviation=deviation,
                 is_outlier=is_out,
                 excess_cycles=max(0, int(round(total - center))),
                 attributions=attrs,
-                degraded=bool(degraded_items) and int(item) in degraded_items,
+                degraded=bool(degraded_items) and item in degraded_items,
             )
         )
     ins.diag_items.inc(len(verdicts))

@@ -25,13 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.diagnose import (
-    DEFAULT_RESET_VALUE,
-    item_totals,
-    sample_confidence,
-)
+from repro.analysis.diagnose import DEFAULT_RESET_VALUE, sample_confidence
 from repro.core.fluctuation import UNATTRIBUTED
 from repro.core.hybrid import HybridTrace
+from repro.core.records import item_totals
 from repro.errors import TraceError
 from repro.obs.instrumented import pipeline as _obs
 

@@ -215,13 +215,14 @@ def integrate(
 
 # ---------------------------------------------------------------------------
 # Source plumbing shared by diagnose()/diff()
+#
+# A verb opens each container path once: whole with load_trace() on the
+# one-shot path, or as a TraceReader header view next to the streamed
+# ingest.  The helpers below read what they need from that open source.
 
 
 def _meta_of(source) -> dict:
-    if isinstance(source, (str, pathlib.Path)):
-        with TraceReader(source) as reader:
-            return reader.meta
-    if isinstance(source, TraceFile):
+    if isinstance(source, (TraceFile, TraceReader)):
         return source.meta
     return {}
 
@@ -230,9 +231,8 @@ def _pick_core(source, requested: int | None) -> int | None:
     """Default core: the one with the most switch records (the worker)."""
     if requested is not None:
         return requested
-    if isinstance(source, (str, pathlib.Path)):
-        with TraceReader(source) as reader:
-            return max(reader.sample_cores, key=reader.n_switch_records)
+    if isinstance(source, TraceReader):
+        return max(source.sample_cores, key=source.n_switch_records)
     if isinstance(source, TraceFile):
         return max(source.sample_cores, key=lambda c: len(source.switches(c)))
     return None
@@ -274,12 +274,18 @@ def _waits_of(source) -> dict:
     """Recorded wait edges of a container keyed by core — ``{}`` when the
     source predates the optional wait member (v1/v2 containers, journal
     recoveries, in-memory traces).  Never an error."""
-    if isinstance(source, (str, pathlib.Path)):
-        with TraceReader(source) as reader:
-            return {c: reader.wait_columns(c) for c in reader.wait_cores}
+    if isinstance(source, TraceReader):
+        return {c: source.wait_columns(c) for c in source.wait_cores}
     if isinstance(source, TraceFile):
         return {c: source.waits(c) for c in source.wait_cores}
     return {}
+
+
+def _header_facts(path, core: int | None) -> tuple[dict, int | None, dict]:
+    """(meta, analysis core, waits by core) of a container, from one
+    header view — what a streamed verb needs beside its ingest."""
+    with TraceReader(path) as reader:
+        return _meta_of(reader), _pick_core(reader, core), _waits_of(reader)
 
 
 def _attach_blocked_by(
@@ -293,11 +299,14 @@ def _attach_blocked_by(
     """
     if not waits_by_core or core is None:
         return report
-    windows = trace.window_columns
+    hulls = depgraph.item_hulls(trace.window_columns)
+    span_of = {
+        item: (lo, hi) for item, lo, hi in zip(*(a.tolist() for a in hulls))
+    }
     verdicts = []
     changed = False
     for v in report.verdicts:
-        span = depgraph.window_of_item(windows, v.item_id)
+        span = span_of.get(v.item_id)
         if span is not None:
             chain = depgraph.blocked_by_chain(
                 waits_by_core, core, span[0], span[1], symtab=trace.symtab
@@ -313,11 +322,11 @@ def _attach_blocked_by(
     return dataclasses.replace(report, verdicts=tuple(verdicts))
 
 
-def _item_waits_for(source, trace: HybridTrace, core: int | None):
+def _item_waits_for(waits_by_core: dict, trace: HybridTrace, core: int | None):
     """Per-item wait-cycle totals of one run, or None without wait data."""
     if core is None:
         return None
-    w = _waits_of(source).get(core)
+    w = waits_by_core.get(core)
     if w is None or len(w) == 0:
         return None
     _ids, totals = depgraph.item_wait_cycles(w, trace.window_columns)
@@ -327,8 +336,6 @@ def _item_waits_for(source, trace: HybridTrace, core: int | None):
 def _one_shot_trace(source, core: int | None) -> HybridTrace:
     if isinstance(source, HybridTrace):
         return source
-    if isinstance(source, (str, pathlib.Path)):
-        source = load_trace(source)
     if isinstance(source, TraceFile):
         use = core if core is not None else _pick_core(source, None)
         return source.integrate(use)
@@ -378,19 +385,23 @@ def diagnose(
     :func:`explain` for the one-item view).  Containers without the
     member yield empty chains, never an error.
     """
-    meta = _meta_of(source)
+    if stream:
+        if isinstance(source, HybridTrace):
+            raise ReproError("stream=True needs a container path, not a trace")
+        if not isinstance(source, (str, pathlib.Path)):
+            raise ReproError("stream=True needs a container path")
+        meta, use_core, waits = _header_facts(source, core)
+    else:
+        if isinstance(source, (str, pathlib.Path)):
+            source = load_trace(source)
+        meta, waits = _meta_of(source), _waits_of(source)
+        use_core = core if isinstance(source, HybridTrace) else _pick_core(source, core)
     if group_of is None:
         group_of = _groups_from_meta(meta)
     if reset_value is None:
         rv = meta.get("reset_value")
         reset_value = int(rv) if rv is not None else None
-    use_core = _pick_core(source, core) if not isinstance(source, HybridTrace) else core
     if stream:
-        if isinstance(source, HybridTrace):
-            raise ReproError("stream=True needs a container path, not a trace")
-        path = source if isinstance(source, (str, pathlib.Path)) else None
-        if path is None:
-            raise ReproError("stream=True needs a container path")
         sd = StreamingDiagnoser(
             group_of,
             k_sigma=k_sigma,
@@ -399,7 +410,7 @@ def diagnose(
             on_verdict=on_verdict,
         )
         result = ingest_trace(
-            path,
+            source,
             options=options if options is not None else IngestOptions(),
             cores=[use_core],
             diagnoser=sd,
@@ -417,7 +428,7 @@ def diagnose(
         reset_value=reset_value,
         degraded_items=_degraded_items(trace, meta, use_core) or None,
     )
-    return _attach_blocked_by(report, trace, _waits_of(source), use_core)
+    return _attach_blocked_by(report, trace, waits, use_core)
 
 
 def explain(
@@ -570,7 +581,19 @@ def diff(
         trace_store = open_store(store)
         base = trace_store.path_for(str(base))
         other = trace_store.path_for(str(other))
-    base_meta, other_meta = _meta_of(base), _meta_of(other)
+    if stream:
+        if not all(isinstance(s, (str, pathlib.Path)) for s in (base, other)):
+            raise ReproError("stream=True needs container paths")
+        base_meta, use_core, base_waits = _header_facts(base, core)
+        other_meta, _core, other_waits = _header_facts(other, use_core)
+    else:
+        if isinstance(base, (str, pathlib.Path)):
+            base = load_trace(base)
+        if isinstance(other, (str, pathlib.Path)):
+            other = load_trace(other)
+        base_meta, other_meta = _meta_of(base), _meta_of(other)
+        base_waits, other_waits = _waits_of(base), _waits_of(other)
+        use_core = _pick_core(base, core)
     if reset_value is None:
         values = [
             int(m["reset_value"])
@@ -578,12 +601,9 @@ def diff(
             if m.get("reset_value") is not None
         ]
         reset_value = max(values) if values else None
-    use_core = _pick_core(base, core)
     if stream:
         traces = []
         for source in (base, other):
-            if not isinstance(source, (str, pathlib.Path)):
-                raise ReproError("stream=True needs container paths")
             result = ingest_trace(
                 source,
                 options=options if options is not None else IngestOptions(),
@@ -600,7 +620,7 @@ def diff(
         other_trace = _one_shot_trace(other, use_core)
     degraded_base = _degraded_items(base_trace, base_meta, use_core)
     degraded_other = _degraded_items(other_trace, other_meta, use_core)
-    base_items = {int(w.item_id) for w in base_trace.windows}
+    base_items = set(base_trace.window_columns.item_id.tolist())
     if base_items and degraded_base >= base_items and not allow_degraded_baseline:
         raise ReproError(
             "baseline capture is fully degraded: every one of its "
@@ -618,8 +638,8 @@ def diff(
         reset_value=reset_value,
         degraded_base=degraded_base,
         degraded_other=degraded_other,
-        base_item_waits=_item_waits_for(base, base_trace, use_core),
-        other_item_waits=_item_waits_for(other, other_trace, use_core),
+        base_item_waits=_item_waits_for(base_waits, base_trace, use_core),
+        other_item_waits=_item_waits_for(other_waits, other_trace, use_core),
     )
 
 

@@ -32,6 +32,7 @@ from repro.core.records import (
     SwitchRecords,
     WindowColumns,
     build_windows,
+    item_totals,
     pair_switch_columns_lenient,
     windows_as_arrays,
 )
@@ -54,6 +55,50 @@ class Estimate:
     t_last: int
 
 
+class _ItemIndex:
+    """Per-item facts of one trace, built once in time linear in its size.
+
+    ``window_total`` maps every item that has a window to its summed
+    window durations (one stable sort + ``reduceat``, see
+    :func:`~repro.core.records.item_totals`).  :meth:`rows` lays the
+    estimate rows out by item, in row order, with rows under a
+    ``min_samples`` floor dropped; that layout is built once per floor
+    asked for.  Every per-item query on :class:`HybridTrace` is then a
+    dict lookup plus a slice.
+    """
+
+    def __init__(self, trace: "HybridTrace") -> None:
+        items, totals = item_totals(trace.window_columns)
+        self.window_total: dict[int, int] = dict(zip(items.tolist(), totals.tolist()))
+        self._trace_rows = (
+            trace.item_ids,
+            trace.fn_idx,
+            trace.n_samples,
+            trace.elapsed,
+            trace.symtab.names,
+        )
+        self._by_floor: dict = {}
+
+    def rows(
+        self, min_samples: int
+    ) -> tuple[dict[int, tuple[int, int]], list[str], list[int]]:
+        """(item -> [lo, hi) span, function name per row, elapsed per row)."""
+        got = self._by_floor.get(min_samples)
+        if got is None:
+            item_ids, fn_idx, n_samples, elapsed, names = self._trace_rows
+            kept = np.flatnonzero(n_samples >= min_samples)
+            order = kept[np.argsort(item_ids[kept], kind="stable")]
+            uniq, start = np.unique(item_ids[order], return_index=True)
+            end = np.append(start[1:], order.shape[0])
+            got = (
+                dict(zip(uniq.tolist(), zip(start.tolist(), end.tolist()))),
+                [names[f] for f in fn_idx[order].tolist()],
+                elapsed[order].tolist(),
+            )
+            self._by_floor[min_samples] = got
+        return got
+
+
 class HybridTrace:
     """Result of the integration: per-(item, function) estimates.
 
@@ -63,9 +108,14 @@ class HybridTrace:
     arguments on the query methods.
 
     ``windows`` may be handed in as ``list[ItemWindow]`` or as
-    :class:`~repro.core.records.WindowColumns`; the object list is
-    materialised lazily on first access, so ingestion pipelines that only
+    :class:`~repro.core.records.WindowColumns`; the other form is built
+    once, on first access, and held — ingestion pipelines that only
     consume whole columns never pay for one Python object per window.
+
+    Per-item queries (:meth:`breakdown`, :meth:`item_window_cycles`,
+    :meth:`unattributed_cycles`) read one per-item index built lazily on
+    the first of them, so asking for every item costs time linear in the
+    trace, not quadratic.  The trace's arrays are treated as immutable.
     """
 
     def __init__(
@@ -84,7 +134,9 @@ class HybridTrace:
         unknown_ip_samples: int,
     ) -> None:
         self.symtab = symtab
-        self._windows_raw = windows
+        columnar = isinstance(windows, WindowColumns)
+        self._window_cols: WindowColumns | None = windows if columnar else None
+        self._window_list: list[ItemWindow] | None = None if columnar else windows
         self.item_ids = item_ids
         self.fn_idx = fn_idx
         self.n_samples = n_samples
@@ -95,19 +147,20 @@ class HybridTrace:
         self.unmapped_samples = unmapped_samples
         self.unknown_ip_samples = unknown_ip_samples
         self._by_key_cache: dict[tuple[int, int], int] | None = None
+        self._index_cache: _ItemIndex | None = None
 
     @property
     def windows(self) -> list[ItemWindow]:
-        if not isinstance(self._windows_raw, list):
-            self._windows_raw = self._windows_raw.to_windows()
-        return self._windows_raw
+        if self._window_list is None:
+            self._window_list = self._window_cols.to_windows()
+        return self._window_list
 
     @property
     def window_columns(self) -> WindowColumns:
-        """Windows as columns, whichever representation is held."""
-        if isinstance(self._windows_raw, WindowColumns):
-            return self._windows_raw
-        return WindowColumns.from_windows(self._windows_raw)
+        """Windows as columns, whichever representation was handed in."""
+        if self._window_cols is None:
+            self._window_cols = WindowColumns.from_windows(self._window_list)
+        return self._window_cols
 
     @property
     def _by_key(self) -> dict[tuple[int, int], int]:
@@ -116,10 +169,18 @@ class HybridTrace:
         # consumed as whole columns.
         if self._by_key_cache is None:
             self._by_key_cache = {
-                (int(it), int(fi)): row
-                for row, (it, fi) in enumerate(zip(self.item_ids, self.fn_idx))
+                key: row
+                for row, key in enumerate(
+                    zip(self.item_ids.tolist(), self.fn_idx.tolist())
+                )
             }
         return self._by_key_cache
+
+    @property
+    def _index(self) -> _ItemIndex:
+        if self._index_cache is None:
+            self._index_cache = _ItemIndex(self)
+        return self._index_cache
 
     # Traces cross process boundaries when per-core shards are integrated
     # in a worker pool; ship windows as columns so pickling is array-speed
@@ -127,7 +188,9 @@ class HybridTrace:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_by_key_cache"] = None
-        state["_windows_raw"] = self.window_columns
+        state["_index_cache"] = None
+        state["_window_cols"] = self.window_columns
+        state["_window_list"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -166,14 +229,17 @@ class HybridTrace:
         return est.elapsed_cycles
 
     def breakdown(self, item_id: int, min_samples: int = 2) -> dict[str, int]:
-        """Per-function elapsed cycles for one item (Fig 8's stacked bars)."""
-        out: dict[str, int] = {}
-        mask = self.item_ids == item_id
-        for row in np.nonzero(mask)[0]:
-            if int(self.n_samples[row]) < min_samples:
-                continue
-            out[self.symtab.names[int(self.fn_idx[row])]] = int(self.elapsed[row])
-        return out
+        """Per-function elapsed cycles for one item (Fig 8's stacked bars).
+
+        Functions come in row order; rows with fewer than ``min_samples``
+        samples are left out.
+        """
+        spans, names, elapsed = self._index.rows(min_samples)
+        span = spans.get(item_id)
+        if span is None:
+            return {}
+        lo, hi = span
+        return dict(zip(names[lo:hi], elapsed[lo:hi]))
 
     def unattributed_cycles(self, item_id: int, min_samples: int = 2) -> int:
         """Window time no function estimate covers (clamped at zero).
@@ -193,8 +259,8 @@ class HybridTrace:
 
     def item_window_cycles(self, item_id: int) -> int:
         """Instrumented ground-truth residency of the item (window length)."""
-        total = sum(w.duration for w in self.windows if w.item_id == item_id)
-        if total == 0 and all(w.item_id != item_id for w in self.windows):
+        total = self._index.window_total.get(item_id)
+        if total is None:
             raise IntegrationError(f"no window recorded for item {item_id}")
         return total
 

@@ -75,6 +75,17 @@ class WindowColumns:
             )
         ]
 
+    def by_item(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, items ascending, start of each item's run in ``order``).
+
+        ``order`` sorts the windows by item id, stably, so an item's
+        windows stay in their recorded order; per-item reductions are one
+        ``reduceat`` over ``column[order]`` at the run starts.
+        """
+        order = np.argsort(self.item_id, kind="stable")
+        items, start = np.unique(self.item_id[order], return_index=True)
+        return order, items.astype(np.int64), start
+
     def as_sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, ends, item_ids) sorted by start, overlap-checked.
 
@@ -90,6 +101,20 @@ class WindowColumns:
         if np.any(starts[1:] < ends[:-1]):
             raise TraceError("item windows overlap on one core")
         return starts, ends, items
+
+
+def item_totals(cols: WindowColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item total residency from window columns: (items, totals).
+
+    Items ascend; an item occupying several windows (timer switching)
+    has its durations summed — one ``argsort`` + ``reduceat``, no Python
+    loop over windows.
+    """
+    if len(cols) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    order, items, start = cols.by_item()
+    return items, np.add.reduceat((cols.t_end - cols.t_start)[order], start)
 
 
 class SwitchRecords:

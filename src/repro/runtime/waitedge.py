@@ -35,6 +35,7 @@ new readers treat absence as "no wait data", never an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class WaitColumns:
 
     def __len__(self) -> int:
         return int(self.ts.shape[0])
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Edge end times ``ts + cycles``, computed once per column set."""
+        return self.ts + self.cycles
 
     @classmethod
     def empty(cls) -> "WaitColumns":

@@ -1,9 +1,11 @@
 """Tests for the hybrid integration (the paper's Section III-D steps 2-3)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.hybrid import HybridTrace, integrate
+from repro.core.hybrid import HybridTrace, integrate, traces_equal
 from repro.core.records import SwitchRecords
 from repro.core.symbols import SymbolTable
 from repro.errors import IntegrationError
@@ -179,3 +181,31 @@ class TestEdgeCases:
     def test_mapped_fraction_empty(self):
         t = integrate(make_samples([]), make_switches([]), SYMTAB)
         assert t.mapped_fraction == 0.0
+
+
+class TestWindowForms:
+    """A trace holds each window form once, whichever it was built from."""
+
+    def trace(self) -> HybridTrace:
+        switches = make_switches(
+            [(0, 1, S), (100, 1, E), (100, 2, S), (250, 2, E), (300, 1, S), (350, 1, E)]
+        )
+        samples = make_samples([(10, 150), (60, 150), (120, 250), (310, 150)])
+        return integrate(samples, switches, SYMTAB)
+
+    def test_columns_held_after_windows_touched(self):
+        t = self.trace()
+        assert isinstance(t.windows, list)
+        cols = t.window_columns
+        assert t.window_columns is cols
+        assert t.windows is t.windows
+        assert cols.item_id.tolist() == [w.item_id for w in t.windows]
+
+    def test_pickle_round_trip_keeps_trace_equal(self):
+        t = self.trace()
+        t.window_columns
+        assert t.item_window_cycles(1) == 150
+        back = pickle.loads(pickle.dumps(t))
+        assert traces_equal(back, t)
+        assert back.window_columns is back.window_columns
+        assert back.item_window_cycles(1) == 150
