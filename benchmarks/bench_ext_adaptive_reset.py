@@ -1,7 +1,7 @@
 """Extension of Section V-C: closed-loop reset-value adaptation.
 
 The paper picks R offline from two measured relationships.  The
-:class:`~repro.core.adaptive.AdaptiveResetController` automates it: run
+:class:`~repro.core.adaptive.OverheadBudgetController` automates it: run
 epochs, observe sample counts, recompute R — converging onto the
 overhead budget within two epochs and re-converging when the workload's
 retirement rate changes (a phase change that would silently invalidate
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.reporting import format_table
-from repro.core.adaptive import AdaptiveResetController
+from repro.core.adaptive import OverheadBudgetController
 from repro.machine.events import HWEvent
 from repro.machine.machine import Machine
 from repro.machine.pebs import PEBSConfig
@@ -40,7 +40,7 @@ def baseline(kernel_name: str) -> int:
 
 @pytest.fixture(scope="module")
 def trajectory():
-    c = AdaptiveResetController(BUDGET, initial_reset_value=500)
+    c = OverheadBudgetController(BUDGET, initial_reset_value=500)
     bases = {name: baseline(name) for name in ("bzip2", "gcc")}
     rows = []
     # Phase 1: bzip2-like phase (high retirement rate); phase 2: gcc-like.

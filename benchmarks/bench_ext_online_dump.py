@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.session import trace
+from repro.analysis.diagnose import StreamingDiagnoser
 from repro.analysis.reporting import format_table
-from repro.core.online import OnlineDiagnoser
 from repro.machine.config import SKYLAKE_LIKE
 from repro.workloads.sampleapp import PAPER_QUERIES, Query, SampleApp, SampleAppConfig
 
@@ -37,7 +37,7 @@ def run():
 def test_ext_online_divergence_dump(run, report, benchmark):
     app, t = run
     record_bytes = SKYLAKE_LIKE.pebs_record_bytes
-    diagnoser = OnlineDiagnoser(k_sigma=3.0, min_baseline=4)
+    diagnoser = StreamingDiagnoser(k_sigma=3.0, min_baseline=4)
     rows = []
     dumped_ids = []
     for q in app.config.queries:
@@ -46,16 +46,16 @@ def test_ext_online_divergence_dump(run, report, benchmark):
             for fn in ("f1_parse", "f2_cache_lookup", "f3_compute")
         ]
         raw_bytes = sum(e.n_samples for e in est if e) * record_bytes
-        decision = diagnoser.observe_item(q.qid, t.breakdown(q.qid), raw_bytes)
+        verdict = diagnoser.observe_item(q.qid, t.breakdown(q.qid), raw_bytes)
         rows.append(
             [
                 f"#{q.qid}",
                 q.n,
-                "DUMP" if decision.dumped else "discard",
-                decision.trigger_fn or "-",
+                "discard" if verdict is None else "DUMP",
+                "-" if verdict is None else verdict.culprit,
             ]
         )
-        if decision.dumped:
+        if verdict is not None:
             dumped_ids.append(q.qid)
     text = format_table(
         ["query", "n", "decision", "trigger"],
@@ -76,11 +76,11 @@ def test_ext_online_divergence_dump(run, report, benchmark):
     # Large storage reduction overall (the Section IV-C3 motivation).
     assert diagnoser.reduction_factor > 3.0
     # Every dump decision has a named trigger function.
-    for d in diagnoser.decisions:
-        assert (d.trigger_fn is not None) == d.dumped
+    for v in diagnoser.verdicts:
+        assert v.culprit is not None
 
     benchmark(
-        lambda: OnlineDiagnoser(k_sigma=3.0, min_baseline=4).observe_item(
+        lambda: StreamingDiagnoser(k_sigma=3.0, min_baseline=4).observe_item(
             1, {"f": 100.0}, 240
         )
     )

@@ -15,8 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.session import trace
+from repro.analysis.diagnose import diagnose_trace
 from repro.analysis.reporting import format_table
-from repro.core.fluctuation import diagnose
 from repro.core.hybrid import integrate
 from repro.workloads.sampleapp import SampleApp
 
@@ -54,7 +54,7 @@ def test_fig08_per_query_breakdown(session_and_app, report, benchmark):
     assert t.item_window_cycles(5) > 2 * t.item_window_cycles(7)  # cold n=5
     bd1 = t.breakdown(1)
     assert bd1["f3_compute"] > 3 * bd1.get("f1_parse", 1)
-    rep = diagnose(t, app.group_of, threshold=1.5)
+    rep = diagnose_trace(t, app.group_of)
     assert {o.item_id for o in rep.outliers} == {1, 5}
     assert all(o.culprit == "f3_compute" for o in rep.outliers)
 

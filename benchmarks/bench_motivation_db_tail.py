@@ -17,8 +17,8 @@ import statistics
 import pytest
 
 from repro.session import trace
+from repro.analysis.diagnose import UNATTRIBUTED, diagnose_trace
 from repro.analysis.reporting import format_table
-from repro.core.fluctuation import diagnose
 from repro.core.hybrid import merge_traces
 from repro.workloads.dbpool import DBPoolApp, DBPoolConfig, QueryClass
 
@@ -53,9 +53,7 @@ def test_motivation_db_tail_statistics(run, report, benchmark):
     # retire almost nothing, so a UOPS-sampled trace shows them as
     # *unattributed* window time (the stall signature), occasionally as
     # fetch_pages when enough of the page walk was sampled.
-    from repro.core.fluctuation import UNATTRIBUTED
-
-    rep = diagnose(merged, app.group_of, threshold=2.0)
+    rep = diagnose_trace(merged, app.group_of, min_ratio=2.0)
     culprits = [o.culprit for o in rep.outliers if o.culprit]
     stall_path = {UNATTRIBUTED, "fetch_pages"}
     fetch_share = (
@@ -98,4 +96,4 @@ def test_motivation_db_tail_statistics(run, report, benchmark):
     )
     assert flagged_with_misses >= len(rep.outliers) // 2
 
-    benchmark(lambda: diagnose(merged, app.group_of, threshold=2.0))
+    benchmark(lambda: diagnose_trace(merged, app.group_of, min_ratio=2.0))

@@ -11,10 +11,9 @@ function* is responsible for each.
 Run:  python examples/database_tail.py
 """
 
-from repro.core.fluctuation import diagnose
+from repro.analysis.diagnose import UNATTRIBUTED, diagnose_trace
 from repro.core.hybrid import merge_traces
 from repro.session import trace
-from repro.core.fluctuation import UNATTRIBUTED
 from repro.workloads import DBPoolApp, DBPoolConfig, QueryClass
 
 
@@ -36,7 +35,7 @@ def main() -> None:
         lats = app.latencies_us(qc)
         print(f"  {qc.value:>8}: n={len(lats):4d}, mean {sum(lats)/len(lats):7.1f} us")
 
-    rep = diagnose(merged, app.group_of, threshold=2.0)
+    rep = diagnose_trace(merged, app.group_of, min_ratio=2.0)
     print(f"\n{len(rep.outliers)} within-class outliers; the worst five:")
     for o in rep.outliers[:5]:
         misses = app.page_misses[o.item_id]

@@ -1,7 +1,7 @@
 """Section IV-C3 in practice: keep raw samples only for anomalies.
 
 Dumping every PEBS sample costs hundreds of MB/s per core.  This
-example streams per-item estimates through the OnlineDiagnoser: a
+example streams per-item estimates through the StreamingDiagnoser: a
 steady warm workload builds the baseline, then a query that invalidates
 the cache assumption (a never-before-seen n) arrives — only *its* raw
 samples are kept, with everything else discarded.
@@ -9,7 +9,7 @@ samples are kept, with everything else discarded.
 Run:  python examples/online_monitoring.py
 """
 
-from repro.core.online import OnlineDiagnoser
+from repro.analysis.diagnose import StreamingDiagnoser
 from repro.core.storage import encode_samples
 from repro.session import trace
 from repro.workloads import Query, SampleApp, SampleAppConfig
@@ -25,7 +25,7 @@ def main() -> None:
     unit = session.units[SampleApp.WORKER_CORE]
     record_bytes = len(encode_samples(unit.finalize())) // max(1, unit.sample_count)
 
-    diagnoser = OnlineDiagnoser(k_sigma=3.0, min_baseline=4)
+    diagnoser = StreamingDiagnoser(k_sigma=3.0, min_baseline=4)
     print(f"{'query':>6} {'n':>3} {'decision':>9}  trigger")
     for q in queries:
         samples_of_item = sum(
@@ -33,11 +33,13 @@ def main() -> None:
                 t.estimate(q.qid, fn) for fn in t.functions()
             ) if est is not None
         )
-        decision = diagnoser.observe_item(
+        verdict = diagnoser.observe_item(
             q.qid, t.breakdown(q.qid), raw_bytes=samples_of_item * record_bytes
         )
-        verdict = "DUMP" if decision.dumped else "discard"
-        print(f"{q.qid:>6} {q.n:>3} {verdict:>9}  {decision.trigger_fn or '-'}")
+        if verdict is None:
+            print(f"{q.qid:>6} {q.n:>3} {'discard':>9}  -")
+        else:
+            print(f"{q.qid:>6} {q.n:>3} {'DUMP':>9}  {verdict.culprit}")
 
     kept = diagnoser.bytes_dumped
     total = kept + diagnoser.bytes_discarded

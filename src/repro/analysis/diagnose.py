@@ -23,12 +23,12 @@ from PEBS samples.  The engine turns that into verdicts:
    at each end, so an excess must clear ``2R/sqrt(n)`` before it means
    much (:func:`sample_confidence`).
 
-The same classification runs online: :class:`StreamingDiagnoser`
-duck-types the ``observe_item`` protocol of
-:class:`~repro.core.online.OnlineDiagnoser`, so it rides
+The same classification runs online: :class:`StreamingDiagnoser` rides
 :func:`~repro.core.streaming.ingest_trace` and emits verdicts while the
 trace is still streaming (with running baselines — a documented
-approximation of the one-shot bands).
+approximation of the one-shot bands).  It is also the paper's §IV-C3
+retention policy: an item's raw samples are kept exactly when it gets
+an outlier verdict, and the verdict's culprit is what triggered the dump.
 
 Everything batch is vectorised over :class:`~repro.core.records.WindowColumns`
 — grouped medians and MADs are computed with one lexsort +
@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
-from repro.core.fluctuation import UNATTRIBUTED
 from repro.core.hybrid import HybridTrace
 from repro.core.records import item_totals
 from repro.errors import TraceError
@@ -60,6 +59,19 @@ DEFAULT_RESET_VALUE = 8000
 
 #: Baseline methods accepted by :func:`diagnose_trace`.
 METHODS = ("mad", "percentile")
+
+#: Pseudo-function name for window time no sampled function covers —
+#: the stall/off-CPU signature (see HybridTrace.unattributed_cycles).
+UNATTRIBUTED = "(unattributed/stall)"
+
+#: Group key of every item when no similarity grouping is given: the
+#: whole trace is then one group.
+WHOLE_TRACE = "all"
+
+#: Bound on :attr:`StreamingDiagnoser.verdicts`.  A months-long capture
+#: feeds millions of items; past this many outlier verdicts the oldest
+#: are evicted (and counted), while the aggregate counters stay exact.
+MAX_ONLINE_VERDICTS = 100_000
 
 
 def sample_confidence(
@@ -438,7 +450,7 @@ def diagnose_trace(
         raise TraceError(f"percentile must be in (0, 100], got {percentile}")
     R = reset_value if reset_value is not None else DEFAULT_RESET_VALUE
     lookup = (
-        (lambda _i: "all")
+        (lambda _i: WHOLE_TRACE)
         if group_of is None
         else (group_of if callable(group_of) else group_of.__getitem__)
     )
@@ -574,7 +586,7 @@ def diagnose_trace(
 class _RunningGroup:
     """Running robust-ish baseline of one group: median + Welford sigma."""
 
-    __slots__ = ("sorted_totals", "n", "mean", "m2", "fn_sum", "fn_n")
+    __slots__ = ("sorted_totals", "n", "mean", "m2", "fn_sum")
 
     def __init__(self) -> None:
         self.sorted_totals: list[int] = []
@@ -582,7 +594,6 @@ class _RunningGroup:
         self.mean = 0.0
         self.m2 = 0.0
         self.fn_sum: dict[str, int] = {}
-        self.fn_n: dict[str, int] = {}
 
     def add(self, total: int, breakdown: Mapping[str, int]) -> None:
         bisect.insort(self.sorted_totals, total)
@@ -592,7 +603,6 @@ class _RunningGroup:
         self.m2 += delta * (total - self.mean)
         for fn, cyc in breakdown.items():
             self.fn_sum[fn] = self.fn_sum.get(fn, 0) + int(cyc)
-            self.fn_n[fn] = self.fn_n.get(fn, 0) + 1
 
     @property
     def median(self) -> float:
@@ -605,17 +615,17 @@ class _RunningGroup:
         return math.sqrt(self.m2 / (self.n - 1)) if self.n > 1 else 0.0
 
     def fn_mean(self, fn: str) -> float:
-        n = self.fn_n.get(fn, 0)
-        return self.fn_sum.get(fn, 0) / n if n else 0.0
+        """Mean elapsed in ``fn`` per member; a member that never ran it
+        counts as 0, as in the batch group medians."""
+        return self.fn_sum.get(fn, 0) / self.n if self.n else 0.0
 
 
 class StreamingDiagnoser:
-    """Online outlier verdicts as items complete mid-stream.
+    """Online outlier verdicts and divergence-triggered sample retention.
 
-    Duck-types the ``observe_item(item_id, breakdown, raw_bytes)``
-    protocol of :class:`~repro.core.online.OnlineDiagnoser`, so it plugs
-    straight into :func:`~repro.core.streaming.ingest_trace` (sequential
-    path) or :meth:`StreamingIntegrator.drain_completed` loops and
+    Implements the ``observe_item(item_id, breakdown, raw_bytes)``
+    protocol that :func:`~repro.core.streaming.ingest_trace` (sequential
+    path) and :func:`~repro.core.streaming.replay_into` feed, so it
     classifies each item the moment its windows close.
 
     The baseline is a *running* approximation of the one-shot band: the
@@ -628,6 +638,12 @@ class StreamingDiagnoser:
     mid-stream), so verdicts can differ near the band edge from the final
     one-shot report — which is why the facade re-runs the exact batch
     diagnosis on the finalized trace after the stream ends.
+
+    Retention (paper §IV-C3): an item's ``raw_bytes`` are *dumped* (kept)
+    exactly when it gets an outlier verdict, whose culprit is the dump's
+    trigger; every other item's bytes are discarded.  The byte counters
+    and :attr:`reduction_factor` account the policy, and the
+    ``repro_online_*`` telemetry counters publish it.
     """
 
     def __init__(
@@ -641,10 +657,14 @@ class StreamingDiagnoser:
         record_bytes: int = 240,
         on_verdict: Callable[[ItemVerdict], None] | None = None,
     ) -> None:
+        if k_sigma <= 0:
+            raise TraceError(f"k_sigma must be > 0, got {k_sigma}")
+        if min_ratio < 1.0:
+            raise TraceError(f"min_ratio must be >= 1.0, got {min_ratio}")
         if min_baseline < 2:
             raise TraceError(f"min_baseline must be >= 2, got {min_baseline}")
         self._lookup = (
-            (lambda _i: "all")
+            (lambda _i: WHOLE_TRACE)
             if group_of is None
             else (group_of if callable(group_of) else group_of.__getitem__)
         )
@@ -656,9 +676,14 @@ class StreamingDiagnoser:
         )
         self.record_bytes = record_bytes
         self.on_verdict = on_verdict
-        self.items_seen = 0
-        #: Outlier verdicts, in observation order.
+        self.items_observed = 0
+        self.items_dumped = 0
+        self.bytes_dumped = 0
+        self.bytes_discarded = 0
+        #: The newest :data:`MAX_ONLINE_VERDICTS` outlier verdicts, in
+        #: observation order; older ones are counted in ``verdicts_evicted``.
         self.verdicts: list[ItemVerdict] = []
+        self.verdicts_evicted = 0
         self._groups: dict[Hashable, _RunningGroup] = {}
 
     def observe_item(
@@ -666,10 +691,11 @@ class StreamingDiagnoser:
     ) -> ItemVerdict | None:
         """Classify one completed item; returns its verdict when flagged.
 
-        The baseline is updated *after* classification, so an extreme
-        item cannot vouch for itself.
+        A flagged item's ``raw_bytes`` are accounted as dumped, any other
+        item's as discarded.  The baseline is updated *after*
+        classification, so an extreme item cannot vouch for itself.
         """
-        self.items_seen += 1
+        self.items_observed += 1
         key = self._lookup(item_id)
         g = self._groups.setdefault(key, _RunningGroup())
         total = int(sum(breakdown.values()))
@@ -708,17 +734,48 @@ class StreamingDiagnoser:
                     excess_cycles=max(0, int(round(total - center))),
                     attributions=attrs,
                 )
-                self.verdicts.append(verdict)
-                ins = _obs()
-                ins.diag_online_verdicts.inc()
-                if self.on_verdict is not None:
-                    self.on_verdict(verdict)
         g.add(total, breakdown)
+        ins = _obs()
+        ins.online_items.inc()
+        if verdict is None:
+            self.bytes_discarded += raw_bytes
+            ins.online_bytes_discarded.inc(raw_bytes)
+            return None
+        self.items_dumped += 1
+        self.bytes_dumped += raw_bytes
+        ins.online_dumped.inc()
+        ins.online_bytes_dumped.inc(raw_bytes)
+        ins.diag_online_verdicts.inc()
+        self.verdicts.append(verdict)
+        if len(self.verdicts) > MAX_ONLINE_VERDICTS:
+            del self.verdicts[0]
+            self.verdicts_evicted += 1
+            ins.online_decisions_dropped.inc()
+        if self.on_verdict is not None:
+            self.on_verdict(verdict)
         return verdict
 
+    @property
+    def reduction_factor(self) -> float:
+        """How much storage the policy saved (total / kept bytes)."""
+        total = self.bytes_dumped + self.bytes_discarded
+        if self.bytes_dumped == 0:
+            return float("inf") if total > 0 else 1.0
+        return total / self.bytes_dumped
+
     def summary(self) -> dict:
+        """Policy outcome counters (for ingest reports and logs).
+
+        Computed from running totals, not the verdict log — the log is
+        bounded and may have evicted its oldest entries.
+        """
         return {
-            "items_seen": self.items_seen,
+            "items_observed": self.items_observed,
+            "items_dumped": self.items_dumped,
+            "items_discarded": self.items_observed - self.items_dumped,
+            "verdicts_evicted": self.verdicts_evicted,
+            "bytes_dumped": self.bytes_dumped,
+            "bytes_discarded": self.bytes_discarded,
+            "reduction_factor": self.reduction_factor,
             "groups": len(self._groups),
-            "outliers": len(self.verdicts),
         }

@@ -3,7 +3,7 @@
 The paper's ACL case study in computable form: two traces of the *same
 workload* — a healthy baseline and a fluctuating/regressed run — are
 compared function by function.  For every function (plus the
-:data:`~repro.core.fluctuation.UNATTRIBUTED` stall pseudo-function) we
+:data:`~repro.analysis.diagnose.UNATTRIBUTED` stall pseudo-function) we
 take the **median per-item elapsed time** in each run and rank functions
 by the per-item excess of the regressed run over the baseline.  Medians,
 not totals: the runs may have processed different item counts, and the
@@ -25,8 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.diagnose import DEFAULT_RESET_VALUE, sample_confidence
-from repro.core.fluctuation import UNATTRIBUTED
+from repro.analysis.diagnose import (
+    DEFAULT_RESET_VALUE,
+    UNATTRIBUTED,
+    sample_confidence,
+)
 from repro.core.hybrid import HybridTrace
 from repro.core.records import item_totals
 from repro.errors import TraceError

@@ -40,8 +40,9 @@ def format_ingest_report(
     """Render one streaming-ingest run's throughput (and online policy).
 
     ``stats`` is an :class:`~repro.core.streaming.IngestStats`;
-    ``diag_summary`` the dict from ``OnlineDiagnoser.summary()`` when an
-    online estimator rode along with the ingest; ``coverage`` the
+    ``diag_summary`` the dict from
+    :meth:`~repro.analysis.diagnose.StreamingDiagnoser.summary` when the
+    online diagnoser rode along with the ingest; ``coverage`` the
     per-core :class:`~repro.core.integrity.CoverageStats` of a lenient
     run — cores whose data survived incomplete get a coverage row so a
     degraded report is never mistaken for a clean one.

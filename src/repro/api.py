@@ -238,12 +238,19 @@ def _pick_core(source, requested: int | None) -> int | None:
     return None
 
 
-def _groups_from_meta(meta: dict) -> Callable[[int], Hashable] | None:
+def recorded_grouping(
+    meta: dict,
+) -> tuple[Callable[[int], Hashable] | None, int | None]:
+    """(group_of, reset_value) recorded in a container's metadata — what
+    :func:`diagnose` judges items by unless told otherwise.  Either is
+    ``None`` when the container did not record it."""
     raw = meta.get("groups") or {}
-    if not raw:
-        return None
     groups = {int(k): v for k, v in raw.items()}
-    return lambda i: groups.get(i, "?")
+    rv = meta.get("reset_value")
+    return (
+        (lambda i: groups.get(i, "?")) if groups else None,
+        int(rv) if rv is not None else None,
+    )
 
 
 def _degraded_items(trace: HybridTrace, meta: dict, core: int | None) -> set[int]:
@@ -396,11 +403,11 @@ def diagnose(
             source = load_trace(source)
         meta, waits = _meta_of(source), _waits_of(source)
         use_core = core if isinstance(source, HybridTrace) else _pick_core(source, core)
+    recorded_groups, recorded_rv = recorded_grouping(meta)
     if group_of is None:
-        group_of = _groups_from_meta(meta)
+        group_of = recorded_groups
     if reset_value is None:
-        rv = meta.get("reset_value")
-        reset_value = int(rv) if rv is not None else None
+        reset_value = recorded_rv
     if stream:
         sd = StreamingDiagnoser(
             group_of,

@@ -26,7 +26,6 @@ import sys
 
 from repro.analysis.reporting import format_table
 from repro.core.callgraph import guess_call_edges
-from repro.core.fluctuation import diagnose
 from repro.core.integrity import POLICIES
 from repro.core.options import IngestOptions
 from repro.core.tracefile import load_trace, save_session
@@ -206,35 +205,56 @@ def _print_breakdown_table(t, core: int, degraded: set[int] | None = None) -> No
 
 
 def _diagnose_block(t, meta: dict, args) -> int:
+    """`report --diagnose`: the verdicts `repro diagnose` prints, judged
+    by the groups and reset value the container recorded."""
     if not args.diagnose:
         return 0
-    groups = {int(k): v for k, v in meta.get("groups", {}).items()}
-    if not groups:
-        print("\n(no group metadata in trace file; cannot diagnose)")
-        return 1
-    rep = diagnose(t, lambda i: groups.get(i, "?"), threshold=args.threshold)
+    from repro import api
+
+    group_of, reset_value = api.recorded_grouping(meta)
+    report = api.diagnose(t, group_of=group_of, reset_value=reset_value)
+    _note_if_ungrouped(report)
     print()
-    if not rep.outliers:
-        print("no fluctuations above threshold")
-    for o in rep.outliers:
-        print(o.describe())
+    print(report.describe())
     return 0
+
+
+def _note_if_ungrouped(report) -> None:
+    """Tell stderr when the trace had no groups to judge items within."""
+    from repro.analysis.diagnose import WHOLE_TRACE
+
+    if {b.group for b in report.baselines} == {WHOLE_TRACE}:
+        print(
+            "note: no group metadata in trace file; treating the whole "
+            "trace as one similarity group",
+            file=sys.stderr,
+        )
 
 
 def _report_streamed(args) -> int:
     """`report --stream`: chunked ingestion + the usual per-item table."""
+    from repro import api
+    from repro.analysis.diagnose import StreamingDiagnoser
     from repro.analysis.reporting import format_ingest_report
-    from repro.core.online import OnlineDiagnoser
     from repro.core.streaming import ingest_trace
     from repro.core.tracefile import TraceReader
 
-    diag = OnlineDiagnoser()
-    result = ingest_trace(
-        args.tracefile,
-        options=IngestOptions.from_args(args),
-        cores=[args.core] if args.core is not None else None,
-        diagnoser=diag,
-    )
+    # One header view serves the diagnoser's groups and R, the report's
+    # meta, and the default core pick; ingest opens the data itself.
+    with TraceReader(args.tracefile) as reader:
+        meta = reader.meta
+        group_of, reset_value = api.recorded_grouping(meta)
+        diag = StreamingDiagnoser(group_of, reset_value=reset_value)
+        result = ingest_trace(
+            args.tracefile,
+            options=IngestOptions.from_args(args),
+            cores=[args.core] if args.core is not None else None,
+            diagnoser=diag,
+        )
+        if args.core is not None:
+            core = args.core
+        else:
+            core = max(result.per_core, key=reader.n_switch_records)
     if result.quarantine:
         from repro.obs.instrumented import publish_quarantine
 
@@ -243,11 +263,6 @@ def _report_streamed(args) -> int:
         # active registry when --telemetry is on), so the stderr text and
         # any exported quarantine metrics cannot disagree.
         print(publish_quarantine(result.quarantine), file=sys.stderr)
-    if args.core is not None:
-        core = args.core
-    else:
-        with TraceReader(args.tracefile) as reader:
-            core = max(result.per_core, key=lambda c: reader.n_switch_records(c))
     print(format_ingest_report(result.stats, diag.summary(), result.coverage))
     print()
     t = result.per_core[core]
@@ -256,15 +271,7 @@ def _report_streamed(args) -> int:
     if cov is not None and cov.unknown_extent:
         degraded = set(t.items())
     _print_breakdown_table(t, core, degraded=degraded)
-    return _diagnose_block(t, _load_meta(args.tracefile), args)
-
-
-def _load_meta(path) -> dict:
-    """Header metadata of a container without loading its arrays."""
-    from repro.core.tracefile import TraceReader
-
-    with TraceReader(path) as reader:
-        return reader.meta
+    return _diagnose_block(t, meta, args)
 
 
 def cmd_diagnose(args) -> int:
@@ -301,13 +308,6 @@ def cmd_diagnose(args) -> int:
         print(result["why"])
         return 0
 
-    meta = _load_meta(args.tracefile)
-    if not meta.get("groups"):
-        print(
-            "note: no group metadata in trace file; treating the whole "
-            "trace as one similarity group",
-            file=sys.stderr,
-        )
     live = 0
 
     def _on_verdict(v) -> None:
@@ -328,6 +328,7 @@ def cmd_diagnose(args) -> int:
     )
     if args.stream and live:
         print(f"[online] {live} mid-stream verdict(s) above", file=sys.stderr)
+    _note_if_ungrouped(report)
     if args.json:
         print(report.to_json())
     else:
@@ -1105,8 +1106,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument("tracefile")
     p_rep.add_argument("--core", type=int, default=None)
-    p_rep.add_argument("--diagnose", action="store_true")
-    p_rep.add_argument("--threshold", type=float, default=1.5)
+    p_rep.add_argument(
+        "--diagnose",
+        action="store_true",
+        help="also print the outlier verdicts `repro diagnose` prints",
+    )
     p_rep.add_argument(
         "--item", type=int, default=None, help="render one item's sample timeline"
     )

@@ -37,7 +37,7 @@ class EpochObservation:
 
 
 @dataclass
-class AdaptiveResetController:
+class OverheadBudgetController:
     """Adapts R between epochs to hold a sampling-overhead budget.
 
     Parameters

@@ -14,10 +14,10 @@ more than one chunk of one core's samples:
   is **bitwise-identical** to ``integrate()`` on the concatenated
   samples.
 * :func:`ingest_trace` drives a whole container: sequentially (feeding
-  an :class:`~repro.core.online.OnlineDiagnoser` as items complete, so
-  diagnosis runs *while* ingesting), or fanned out per core-shard over a
-  ``multiprocessing`` pool, with per-core partial traces combined by
-  :func:`~repro.core.hybrid.merge_traces`.
+  a :class:`~repro.analysis.diagnose.StreamingDiagnoser` as items
+  complete, so diagnosis runs *while* ingesting), or fanned out per
+  core-shard over a ``multiprocessing`` pool, with per-core partial
+  traces combined by :func:`~repro.core.hybrid.merge_traces`.
 
 Switch logs are two records per data-item — tiny next to the sample
 stream — so window state is built whole per core; only samples stream.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from repro.core.integrity import (
     check_policy,
     degraded_items_for_span,
 )
-from repro.core.online import OnlineDiagnoser
 from repro.core.options import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_RECORD_BYTES,
@@ -79,6 +79,9 @@ from repro.obs.anomaly import (
 )
 from repro.obs.instrumented import pipeline as _obs
 from repro.obs.spans import span
+
+if TYPE_CHECKING:
+    from repro.analysis.diagnose import StreamingDiagnoser
 
 # DEFAULT_CHUNK_SIZE / DEFAULT_RECORD_BYTES now live in
 # repro.core.options next to IngestOptions; re-exported here for
@@ -432,7 +435,7 @@ def _stream_core(
     policy: str,
     quarantine: QuarantineLog,
     coverage: CoverageStats,
-    diagnoser: OnlineDiagnoser | None = None,
+    diagnoser: StreamingDiagnoser | None = None,
     record_bytes: int = DEFAULT_RECORD_BYTES,
     checkers: IngestCheckers | None = None,
 ) -> tuple[HybridTrace, int]:
@@ -510,7 +513,7 @@ def _integrate_core_shard(
 
 
 def replay_into(
-    diagnoser: OnlineDiagnoser,
+    diagnoser: StreamingDiagnoser,
     trace: HybridTrace,
     record_bytes: int = DEFAULT_RECORD_BYTES,
     min_samples: int = 2,
@@ -542,7 +545,7 @@ def ingest_trace(
     *,
     options: IngestOptions | None = None,
     cores: list[int] | None = None,
-    diagnoser: OnlineDiagnoser | None = None,
+    diagnoser: StreamingDiagnoser | None = None,
     _shard_fn=None,
 ) -> IngestResult:
     """Stream-integrate a trace container and merge the per-core shards.

@@ -220,7 +220,7 @@ class PipelineInstruments:
         )
         self.online_decisions_dropped = c(
             "repro_online_decisions_dropped_total",
-            "Oldest online decisions evicted by the bounded decision log",
+            "Oldest online verdicts evicted by the bounded verdict log",
         )
         # -- ingestion service (daemon + multi-run store) -----------------
         self.svc_queue_depth = g(

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import diagnose as diagnose_mod
 from repro.analysis.diagnose import (
+    UNATTRIBUTED,
     StreamingDiagnoser,
     diagnose_trace,
     grouped_mad,
@@ -14,12 +16,12 @@ from repro.analysis.diagnose import (
     item_totals,
     sample_confidence,
 )
-from repro.core.fluctuation import UNATTRIBUTED
 from repro.core.hybrid import integrate
 from repro.core.records import SwitchRecords
 from repro.core.symbols import SymbolTable
 from repro.errors import TraceError
 from repro.machine.pebs import SampleArrays
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.actions import SwitchKind
 
 SYMTAB = SymbolTable.from_ranges(
@@ -243,7 +245,8 @@ class TestStreamingDiagnoser:
         assert v.culprit == "f1"
         assert v.attributions[0].confidence > 0
         assert seen == [v] and sd.verdicts == [v]
-        assert sd.summary() == {"items_seen": 7, "groups": 1, "outliers": 1}
+        assert sd.summary()["items_observed"] == 7
+        assert sd.summary()["items_dumped"] == 1
 
     def test_groups_are_independent(self):
         sd = StreamingDiagnoser({i: i % 2 for i in range(100)}, min_baseline=3)
@@ -257,3 +260,88 @@ class TestStreamingDiagnoser:
     def test_min_baseline_validated(self):
         with pytest.raises(TraceError):
             StreamingDiagnoser(min_baseline=1)
+
+    @pytest.mark.parametrize("kwargs", [{"k_sigma": 0.0}, {"min_ratio": 0.5}])
+    def test_band_arguments_validated(self, kwargs):
+        with pytest.raises(TraceError):
+            StreamingDiagnoser(**kwargs)
+
+    def test_mapping_groups_judge_within_group(self):
+        groups = {i: "x" if i < 6 else "y" for i in range(12)}
+        sd = StreamingDiagnoser(groups, min_baseline=3)
+        for i in range(6):
+            sd.observe_item(i, {"f0": 1000 + i % 2}, 240)
+        # The first "y" items have no baseline yet, however slow.
+        assert sd.observe_item(6, {"f0": 50_000}, 240) is None
+        v = sd.observe_item(5, {"f0": 50_000}, 240)
+        assert v is not None and v.group == "x"
+        assert sd.summary()["groups"] == 2
+
+    def test_nothing_observed(self):
+        sd = StreamingDiagnoser()
+        assert sd.verdicts == []
+        assert sd.summary() == {
+            "items_observed": 0,
+            "items_dumped": 0,
+            "items_discarded": 0,
+            "verdicts_evicted": 0,
+            "bytes_dumped": 0,
+            "bytes_discarded": 0,
+            "reduction_factor": 1.0,
+            "groups": 0,
+        }
+
+    def test_rarely_run_function_judged_against_zero(self):
+        # As in the batch group medians, members that never ran f1 count
+        # as 0 for it: the item's 8000 cycles in f1 outweigh its +4000 in
+        # f0, although the one earlier item that ran f1 spent 5000 there.
+        sd = StreamingDiagnoser(min_baseline=5)
+        sd.observe_item(0, {"f0": 1000}, 240)
+        sd.observe_item(1, {"f0": 1000, "f1": 5000}, 240)
+        for i in range(2, 10):
+            sd.observe_item(i, {"f0": 1000}, 240)
+        v = sd.observe_item(10, {"f0": 5000, "f1": 8000}, 240)
+        assert v is not None and v.culprit == "f1"
+
+    def test_describe_names_culprit(self):
+        sd = StreamingDiagnoser(min_baseline=3)
+        for i in range(4):
+            sd.observe_item(i, {"f0": 1000 + i}, 240)
+        v = sd.observe_item(4, {"f0": 1000, "f2": 8000}, 240)
+        text = v.describe()
+        assert "item 4" in text and "OUTLIER" in text and "f2" in text
+
+    def test_retention_accounting(self):
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            sd = StreamingDiagnoser(min_baseline=3)
+            for i in range(9):
+                sd.observe_item(i, {"f0": 1000 + i % 2}, 240)
+            sd.observe_item(9, {"f0": 40_000}, 480)
+        summary = sd.summary()
+        assert summary["items_observed"] == 10
+        assert summary["items_dumped"] == 1
+        assert summary["items_discarded"] == 9
+        assert summary["bytes_dumped"] == 480
+        assert summary["bytes_discarded"] == 9 * 240
+        assert summary["reduction_factor"] == pytest.approx((480 + 2160) / 480)
+        assert reg.value("repro_online_items_total") == 10
+        assert reg.value("repro_online_items_dumped_total") == 1
+        assert reg.value("repro_online_bytes_dumped_total") == 480
+        assert reg.value("repro_online_bytes_discarded_total") == 2160
+
+    def test_verdict_log_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(diagnose_mod, "MAX_ONLINE_VERDICTS", 2)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            sd = StreamingDiagnoser(min_baseline=3)
+            for i in range(20):
+                sd.observe_item(i, {"f0": 1000}, 240)
+            # Each spike dwarfs the last, so none is absorbed by the band.
+            for k, i in enumerate(range(20, 24)):
+                assert sd.observe_item(i, {"f0": 10 ** (5 + k)}, 240) is not None
+        assert [v.item_id for v in sd.verdicts] == [22, 23]
+        assert sd.verdicts_evicted == 2
+        # The aggregate counters do not forget what the log evicted.
+        assert sd.summary()["items_dumped"] == 4
+        assert reg.value("repro_online_decisions_dropped_total") == 2

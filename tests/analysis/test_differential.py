@@ -17,8 +17,8 @@ import warnings
 import pytest
 
 import repro.api as api
+from repro.analysis.diagnose import UNATTRIBUTED
 from repro.analysis.differential import diff_traces
-from repro.core.fluctuation import UNATTRIBUTED
 
 from .test_diagnose import build_trace
 

@@ -2,33 +2,33 @@
 
 import pytest
 
-from repro.core.adaptive import AdaptiveResetController, EpochObservation
+from repro.core.adaptive import EpochObservation, OverheadBudgetController
 from repro.errors import ConfigError
 
 
 class TestValidation:
     def test_target_range(self):
         with pytest.raises(ConfigError):
-            AdaptiveResetController(target_overhead=0.0)
+            OverheadBudgetController(target_overhead=0.0)
         with pytest.raises(ConfigError):
-            AdaptiveResetController(target_overhead=1.5)
+            OverheadBudgetController(target_overhead=1.5)
 
     def test_cost_positive(self):
         with pytest.raises(ConfigError):
-            AdaptiveResetController(0.05, per_sample_cycles=0)
+            OverheadBudgetController(0.05, per_sample_cycles=0)
 
     def test_smoothing_range(self):
         with pytest.raises(ConfigError):
-            AdaptiveResetController(0.05, smoothing=0.0)
+            OverheadBudgetController(0.05, smoothing=0.0)
 
     def test_clamps(self):
         with pytest.raises(ConfigError):
-            AdaptiveResetController(0.05, min_reset=10, max_reset=5)
-        c = AdaptiveResetController(0.05, initial_reset_value=1, min_reset=100)
+            OverheadBudgetController(0.05, min_reset=10, max_reset=5)
+        c = OverheadBudgetController(0.05, initial_reset_value=1, min_reset=100)
         assert c.reset_value == 100
 
     def test_negative_observation(self):
-        c = AdaptiveResetController(0.05)
+        c = OverheadBudgetController(0.05)
         with pytest.raises(ConfigError):
             c.observe_epoch(-1, 100)
 
@@ -48,29 +48,29 @@ class TestConvergence:
         return overheads
 
     def test_converges_to_budget(self):
-        c = AdaptiveResetController(0.05, initial_reset_value=500)
+        c = OverheadBudgetController(0.05, initial_reset_value=500)
         overheads = self.simulate(c, rate=2.5)
         assert overheads[-1] == pytest.approx(0.05, rel=0.1)
         assert c.converged
 
     def test_converges_from_above_and_below(self):
         for r0 in (100, 1_000_000):
-            c = AdaptiveResetController(0.02, initial_reset_value=r0)
+            c = OverheadBudgetController(0.02, initial_reset_value=r0)
             overheads = self.simulate(c, rate=1.8)
             assert overheads[-1] == pytest.approx(0.02, rel=0.15)
 
     def test_tracks_rate_change(self):
-        c = AdaptiveResetController(0.05, initial_reset_value=1000)
+        c = OverheadBudgetController(0.05, initial_reset_value=1000)
         self.simulate(c, rate=1.0, epochs=4)
         overheads = self.simulate(c, rate=4.0, epochs=4)
         assert overheads[-1] == pytest.approx(0.05, rel=0.15)
 
     def test_zero_sample_epoch_keeps_r(self):
-        c = AdaptiveResetController(0.05, initial_reset_value=777)
+        c = OverheadBudgetController(0.05, initial_reset_value=777)
         assert c.observe_epoch(0, 1_000_000) == 777
 
     def test_history_recorded(self):
-        c = AdaptiveResetController(0.05)
+        c = OverheadBudgetController(0.05)
         c.observe_epoch(10, 100_000)
         assert len(c.history) == 1
         assert isinstance(c.history[0], EpochObservation)
@@ -81,7 +81,7 @@ class TestConvergence:
         assert EpochObservation(1000, 5, 0).event_rate_per_cycle == 0.0
 
     def test_not_converged_initially(self):
-        assert not AdaptiveResetController(0.05).converged
+        assert not OverheadBudgetController(0.05).converged
 
 
 class TestEndToEndWithSimulator:
@@ -93,7 +93,7 @@ class TestEndToEndWithSimulator:
         from repro.runtime.scheduler import Scheduler
         from repro.workloads.spec import SpecKernel
 
-        c = AdaptiveResetController(0.05, initial_reset_value=400)
+        c = OverheadBudgetController(0.05, initial_reset_value=400)
         base = None
         for _ in range(4):
             kernel = SpecKernel("bzip2", duration_cycles=1_000_000)

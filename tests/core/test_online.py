@@ -1,35 +1,35 @@
-"""Tests for online divergence-triggered dumping (Section IV-C3)."""
+"""Online divergence-triggered dumping (Section IV-C3): an item's raw
+samples are kept exactly when the streaming diagnoser flags it."""
 
 import pytest
 
-from repro.core.online import OnlineDiagnoser
+from repro.analysis.diagnose import StreamingDiagnoser
 from repro.errors import TraceError
 
 
 class TestOnlineDiagnoser:
     def test_baseline_items_never_dumped(self):
-        d = OnlineDiagnoser(min_baseline=5)
+        d = StreamingDiagnoser(min_baseline=5)
         for i in range(5):
-            dec = d.observe_item(i, {"f": 1000}, raw_bytes=100)
-            assert not dec.dumped
+            assert d.observe_item(i, {"f": 1000}, raw_bytes=100) is None
+        assert d.items_dumped == 0
 
     def test_anomaly_dumped_after_baseline(self):
-        d = OnlineDiagnoser(k_sigma=3.0, min_baseline=5)
+        d = StreamingDiagnoser(k_sigma=3.0, min_baseline=5)
         for i in range(10):
             d.observe_item(i, {"f": 1000 + (i % 3)}, raw_bytes=100)
-        dec = d.observe_item(99, {"f": 50_000}, raw_bytes=100)
-        assert dec.dumped
-        assert dec.trigger_fn == "f"
+        v = d.observe_item(99, {"f": 50_000}, raw_bytes=100)
+        assert v is not None
+        assert v.culprit == "f"
 
     def test_normal_item_discarded(self):
-        d = OnlineDiagnoser(k_sigma=3.0, min_baseline=5)
+        d = StreamingDiagnoser(k_sigma=3.0, min_baseline=5)
         for i in range(10):
             d.observe_item(i, {"f": 1000 + (i % 5)}, raw_bytes=100)
-        dec = d.observe_item(99, {"f": 1002}, raw_bytes=100)
-        assert not dec.dumped
+        assert d.observe_item(99, {"f": 1002}, raw_bytes=100) is None
 
     def test_byte_accounting(self):
-        d = OnlineDiagnoser(k_sigma=2.0, min_baseline=3)
+        d = StreamingDiagnoser(k_sigma=2.0, min_baseline=3)
         for i in range(6):
             d.observe_item(i, {"f": 100 + i % 2}, raw_bytes=50)
         d.observe_item(7, {"f": 10_000}, raw_bytes=80)
@@ -37,68 +37,49 @@ class TestOnlineDiagnoser:
         assert d.bytes_discarded == 300
 
     def test_reduction_factor(self):
-        d = OnlineDiagnoser(k_sigma=2.0, min_baseline=3)
+        d = StreamingDiagnoser(k_sigma=2.0, min_baseline=3)
         for i in range(9):
             d.observe_item(i, {"f": 100 + i % 2}, raw_bytes=100)
         d.observe_item(10, {"f": 99_999}, raw_bytes=100)
         assert d.reduction_factor == pytest.approx(10.0)
 
     def test_reduction_factor_nothing_dumped(self):
-        d = OnlineDiagnoser()
+        d = StreamingDiagnoser()
         d.observe_item(1, {"f": 10}, raw_bytes=5)
         assert d.reduction_factor == float("inf")
 
     def test_zero_variance_never_triggers(self):
-        d = OnlineDiagnoser(min_baseline=2)
+        d = StreamingDiagnoser(min_baseline=2)
         for i in range(10):
             d.observe_item(i, {"f": 500}, raw_bytes=1)
-        # std == 0 -> rule disabled rather than dividing by zero.
-        dec = d.observe_item(11, {"f": 500}, raw_bytes=1)
-        assert not dec.dumped
+        # std == 0 -> only the min_ratio floor is left, and 500 is inside it.
+        assert d.observe_item(11, {"f": 500}, raw_bytes=1) is None
 
     def test_unseen_function_triggers_by_default(self):
-        # A code path that never ran during the baseline is a divergence.
-        d = OnlineDiagnoser(min_baseline=3)
+        # A code path that never ran during the baseline and makes the
+        # item diverge is the dump trigger.
+        d = StreamingDiagnoser(min_baseline=3)
         for i in range(10):
             d.observe_item(i, {"f": 100 + i % 2}, raw_bytes=1)
-        dec = d.observe_item(11, {"g": 1_000_000}, raw_bytes=1)
-        assert dec.dumped
-        assert dec.trigger_fn == "g"
-
-    def test_unseen_function_trigger_can_be_disabled(self):
-        d = OnlineDiagnoser(min_baseline=3, unseen_fn_triggers=False)
-        for i in range(10):
-            d.observe_item(i, {"f": 100 + i % 2}, raw_bytes=1)
-        dec = d.observe_item(11, {"g": 1_000_000}, raw_bytes=1)
-        assert not dec.dumped
+        v = d.observe_item(11, {"g": 1_000_000}, raw_bytes=1)
+        assert v is not None
+        assert v.culprit == "g"
 
     def test_unseen_function_during_baseline_does_not_trigger(self):
-        d = OnlineDiagnoser(min_baseline=5)
+        d = StreamingDiagnoser(min_baseline=5)
         d.observe_item(1, {"f": 100}, raw_bytes=1)
-        dec = d.observe_item(2, {"g": 100}, raw_bytes=1)
-        assert not dec.dumped
-
-    def test_absence_counts_as_zero(self):
-        d = OnlineDiagnoser(min_baseline=2)
-        d.observe_item(1, {"f": 100}, raw_bytes=1)
-        d.observe_item(2, {}, raw_bytes=1)  # f absent -> counted as 0
-        assert d.mean_of("f") == 50.0
-
-    def test_mean_of(self):
-        d = OnlineDiagnoser()
-        d.observe_item(1, {"f": 100}, raw_bytes=0)
-        d.observe_item(2, {"f": 300}, raw_bytes=0)
-        assert d.mean_of("f") == 200.0
-        assert d.mean_of("unseen") == 0.0
+        assert d.observe_item(2, {"g": 100}, raw_bytes=1) is None
 
     def test_invalid_config(self):
         with pytest.raises(TraceError):
-            OnlineDiagnoser(k_sigma=0)
+            StreamingDiagnoser(k_sigma=0)
         with pytest.raises(TraceError):
-            OnlineDiagnoser(min_baseline=0)
+            StreamingDiagnoser(min_baseline=0)
 
     def test_decisions_recorded(self):
-        d = OnlineDiagnoser()
-        d.observe_item(1, {"f": 100}, raw_bytes=10)
-        assert len(d.decisions) == 1
-        assert d.decisions[0].item_id == 1
+        d = StreamingDiagnoser(min_baseline=2)
+        for i in range(3):
+            d.observe_item(i, {"f": 100}, raw_bytes=10)
+        v = d.observe_item(3, {"f": 10_000}, raw_bytes=10)
+        assert d.verdicts == [v]
+        assert d.verdicts[0].item_id == 3

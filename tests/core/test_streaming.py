@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.diagnose import StreamingDiagnoser
 from repro.core.hybrid import integrate, traces_equal
-from repro.core.online import OnlineDiagnoser
 from repro.core.options import IngestOptions
 from repro.core.records import SwitchRecords, build_windows
 from repro.core.streaming import (
@@ -45,6 +45,18 @@ def make_trace_data(core_id=0, n_items=8, samples_per_item=6, t0=1000, seed=7):
     )
     return samples, r
 
+
+
+class RecordingDiagnoser(StreamingDiagnoser):
+    """A streaming diagnoser that also remembers which items it was fed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.observed: list[int] = []
+
+    def observe_item(self, item_id, breakdown, raw_bytes):
+        self.observed.append(item_id)
+        return super().observe_item(item_id, breakdown, raw_bytes)
 
 class TestStreamingIntegrator:
     @pytest.mark.parametrize("chunk_size", [1, 3, 17, 1_000_000])
@@ -217,31 +229,31 @@ class TestIngestTrace:
 
     def test_online_diagnoser_sees_every_item_once(self, container):
         path, one_shot = container
-        diag = OnlineDiagnoser()
+        diag = RecordingDiagnoser()
         ingest_trace(
             path, options=IngestOptions(chunk_size=10, workers=1), diagnoser=diag
         )
         all_items = sorted(
             i for t in one_shot.values() for i in t.items()
         )
-        observed = sorted(d.item_id for d in diag.decisions)
-        assert observed == all_items
+        assert sorted(diag.observed) == all_items
+        assert diag.items_observed == len(all_items)
 
     def test_parallel_diagnoser_replay(self, container):
         path, _ = container
-        diag = OnlineDiagnoser()
+        diag = RecordingDiagnoser()
         res = ingest_trace(
             path, options=IngestOptions(chunk_size=10, workers=2), diagnoser=diag
         )
         # Replay feeds the merged view: distinct items, each once.
-        assert len(diag.decisions) == len(res.trace.items())
+        assert sorted(diag.observed) == res.trace.items()
 
     def test_replay_into_orders_by_completion(self, container):
         path, _ = container
         res = ingest_trace(path, options=IngestOptions(chunk_size=10))
-        diag = OnlineDiagnoser()
+        diag = RecordingDiagnoser()
         replay_into(diag, res.trace)
-        assert len(diag.decisions) == len(res.trace.items())
+        assert sorted(diag.observed) == res.trace.items()
 
 
 class TestTraceReader:

@@ -9,7 +9,7 @@ from repro.acl.app import ACLApp, ACLAppConfig
 from repro.acl.packets import make_test_stream
 from repro.acl.rules import small_ruleset
 from repro.acl.trie import MultiTrieClassifier
-from repro.core.fluctuation import diagnose
+from repro.analysis.diagnose import StreamingDiagnoser, diagnose_trace
 from repro.workloads.sampleapp import SampleApp
 
 
@@ -28,12 +28,12 @@ class TestSampleAppFluctuation:
 
     def test_cold_queries_are_outliers(self, app_and_trace):
         app, t = app_and_trace
-        rep = diagnose(t, app.group_of, threshold=1.5)
+        rep = diagnose_trace(t, app.group_of)
         assert {o.item_id for o in rep.outliers} == {1, 5}
 
     def test_f3_is_the_culprit(self, app_and_trace):
         app, t = app_and_trace
-        rep = diagnose(t, app.group_of)
+        rep = diagnose_trace(t, app.group_of)
         assert all(o.culprit == "f3_compute" for o in rep.outliers)
 
     def test_same_n_warm_queries_agree(self, app_and_trace):
@@ -100,12 +100,10 @@ class TestACLEndToEnd:
     def test_diagnosis_groups_by_type(self):
         app = self.make_app()
         session = trace(app, sample_cores=[ACLApp.ACL_CORE], reset_value=400)
-        rep = diagnose(
-            session.trace_for(ACLApp.ACL_CORE), app.group_of, threshold=1.5
-        )
+        rep = diagnose_trace(session.trace_for(ACLApp.ACL_CORE), app.group_of)
         # Within a type, latencies are stable: no outliers.
         assert not rep.fluctuating
-        assert {g.group for g in rep.groups} == {"A", "B", "C"}
+        assert {g.group for g in rep.baselines} == {"A", "B", "C"}
 
     def test_tracing_overhead_visible_externally(self):
         """Fig 10's probe: GNET latency rises when tracing is on."""
@@ -172,18 +170,15 @@ class TestRegisterTaggingEndToEnd:
 
 class TestOnlineEndToEnd:
     def test_online_dumps_only_cold_queries(self):
-        from repro.core.online import OnlineDiagnoser
-
         app = SampleApp()
         session = trace(app, reset_value=8000)
         t = session.trace_for(SampleApp.WORKER_CORE)
-        d = OnlineDiagnoser(k_sigma=3.0, min_baseline=2)
+        d = StreamingDiagnoser(k_sigma=3.0, min_baseline=2)
         # Feed warm queries first to build a baseline, then the cold ones.
         order = [2, 4, 8, 3, 10, 6, 7, 9, 1, 5]
         dumped = []
         for qid in order:
-            dec = d.observe_item(qid, t.breakdown(qid), raw_bytes=1000)
-            if dec.dumped:
+            if d.observe_item(qid, t.breakdown(qid), raw_bytes=1000) is not None:
                 dumped.append(qid)
         assert 1 in dumped
         assert 2 not in dumped
