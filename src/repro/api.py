@@ -27,6 +27,7 @@ Ingestion knobs travel in one :class:`IngestOptions` object everywhere.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pathlib
 from typing import Callable, Hashable, Mapping
@@ -217,8 +218,9 @@ def integrate(
 # Source plumbing shared by diagnose()/diff()
 #
 # A verb opens each container path once: whole with load_trace() on the
-# one-shot path, or as a TraceReader header view next to the streamed
-# ingest.  The helpers below read what they need from that open source.
+# one-shot path, or as one TraceReader that serves the header, the core
+# pick and the streamed ingest itself.  The helpers below read what they
+# need from that open source.
 
 
 def _meta_of(source) -> dict:
@@ -286,13 +288,6 @@ def _waits_of(source) -> dict:
     if isinstance(source, TraceFile):
         return {c: source.waits(c) for c in source.wait_cores}
     return {}
-
-
-def _header_facts(path, core: int | None) -> tuple[dict, int | None, dict]:
-    """(meta, analysis core, waits by core) of a container, from one
-    header view — what a streamed verb needs beside its ingest."""
-    with TraceReader(path) as reader:
-        return _meta_of(reader), _pick_core(reader, core), _waits_of(reader)
 
 
 def _attach_blocked_by(
@@ -392,39 +387,38 @@ def diagnose(
     :func:`explain` for the one-item view).  Containers without the
     member yield empty chains, never an error.
     """
-    if stream:
-        if isinstance(source, HybridTrace):
-            raise ReproError("stream=True needs a container path, not a trace")
-        if not isinstance(source, (str, pathlib.Path)):
-            raise ReproError("stream=True needs a container path")
-        meta, use_core, waits = _header_facts(source, core)
-    else:
-        if isinstance(source, (str, pathlib.Path)):
+    with contextlib.ExitStack() as opened:
+        if stream:
+            if isinstance(source, HybridTrace):
+                raise ReproError("stream=True needs a container path, not a trace")
+            if not isinstance(source, (str, pathlib.Path)):
+                raise ReproError("stream=True needs a container path")
+            source = opened.enter_context(TraceReader(source))
+        elif isinstance(source, (str, pathlib.Path)):
             source = load_trace(source)
         meta, waits = _meta_of(source), _waits_of(source)
         use_core = core if isinstance(source, HybridTrace) else _pick_core(source, core)
-    recorded_groups, recorded_rv = recorded_grouping(meta)
-    if group_of is None:
-        group_of = recorded_groups
-    if reset_value is None:
-        reset_value = recorded_rv
-    if stream:
-        sd = StreamingDiagnoser(
-            group_of,
-            k_sigma=k_sigma,
-            min_ratio=min_ratio,
-            reset_value=reset_value,
-            on_verdict=on_verdict,
-        )
-        result = ingest_trace(
-            source,
-            options=options if options is not None else IngestOptions(),
-            cores=[use_core],
-            diagnoser=sd,
-        )
-        trace = result.per_core[use_core]
-    else:
-        trace = _one_shot_trace(source, use_core)
+        recorded_groups, recorded_rv = recorded_grouping(meta)
+        if group_of is None:
+            group_of = recorded_groups
+        if reset_value is None:
+            reset_value = recorded_rv
+        if stream:
+            opts = options if options is not None else IngestOptions()
+            sd = StreamingDiagnoser(
+                group_of,
+                k_sigma=k_sigma,
+                min_ratio=min_ratio,
+                reset_value=reset_value,
+                record_bytes=opts.record_bytes,
+                on_verdict=on_verdict,
+            )
+            result = ingest_trace(
+                source, options=opts, cores=[use_core], diagnoser=sd
+            )
+            trace = result.per_core[use_core]
+        else:
+            trace = _one_shot_trace(source, use_core)
     report = diagnose_trace(
         trace,
         group_of,
@@ -588,19 +582,33 @@ def diff(
         trace_store = open_store(store)
         base = trace_store.path_for(str(base))
         other = trace_store.path_for(str(other))
-    if stream:
-        if not all(isinstance(s, (str, pathlib.Path)) for s in (base, other)):
-            raise ReproError("stream=True needs container paths")
-        base_meta, use_core, base_waits = _header_facts(base, core)
-        other_meta, _core, other_waits = _header_facts(other, use_core)
-    else:
-        if isinstance(base, (str, pathlib.Path)):
-            base = load_trace(base)
-        if isinstance(other, (str, pathlib.Path)):
-            other = load_trace(other)
+    with contextlib.ExitStack() as opened:
+        if stream:
+            if not all(isinstance(s, (str, pathlib.Path)) for s in (base, other)):
+                raise ReproError("stream=True needs container paths")
+            base = opened.enter_context(TraceReader(base))
+            other = opened.enter_context(TraceReader(other))
+        else:
+            if isinstance(base, (str, pathlib.Path)):
+                base = load_trace(base)
+            if isinstance(other, (str, pathlib.Path)):
+                other = load_trace(other)
         base_meta, other_meta = _meta_of(base), _meta_of(other)
         base_waits, other_waits = _waits_of(base), _waits_of(other)
         use_core = _pick_core(base, core)
+        if stream:
+            traces = []
+            for reader in (base, other):
+                result = ingest_trace(
+                    reader,
+                    options=options if options is not None else IngestOptions(),
+                    cores=[use_core],
+                )
+                traces.append(result.per_core[use_core])
+            base_trace, other_trace = traces
+        else:
+            base_trace = _one_shot_trace(base, use_core)
+            other_trace = _one_shot_trace(other, use_core)
     if reset_value is None:
         values = [
             int(m["reset_value"])
@@ -608,23 +616,6 @@ def diff(
             if m.get("reset_value") is not None
         ]
         reset_value = max(values) if values else None
-    if stream:
-        traces = []
-        for source in (base, other):
-            result = ingest_trace(
-                source,
-                options=options if options is not None else IngestOptions(),
-                cores=[use_core] if use_core is not None else None,
-            )
-            traces.append(
-                result.per_core[use_core]
-                if use_core is not None
-                else result.trace
-            )
-        base_trace, other_trace = traces
-    else:
-        base_trace = _one_shot_trace(base, use_core)
-        other_trace = _one_shot_trace(other, use_core)
     degraded_base = _degraded_items(base_trace, base_meta, use_core)
     degraded_other = _degraded_items(other_trace, other_meta, use_core)
     base_items = set(base_trace.window_columns.item_id.tolist())

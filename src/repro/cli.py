@@ -239,15 +239,18 @@ def _report_streamed(args) -> int:
     from repro.core.streaming import ingest_trace
     from repro.core.tracefile import TraceReader
 
-    # One header view serves the diagnoser's groups and R, the report's
-    # meta, and the default core pick; ingest opens the data itself.
+    # One open reader serves the diagnoser's groups and R, the report's
+    # meta, the default core pick and the ingest itself.
+    opts = IngestOptions.from_args(args)
     with TraceReader(args.tracefile) as reader:
         meta = reader.meta
         group_of, reset_value = api.recorded_grouping(meta)
-        diag = StreamingDiagnoser(group_of, reset_value=reset_value)
+        diag = StreamingDiagnoser(
+            group_of, reset_value=reset_value, record_bytes=opts.record_bytes
+        )
         result = ingest_trace(
-            args.tracefile,
-            options=IngestOptions.from_args(args),
+            reader,
+            options=opts,
             cores=[args.core] if args.core is not None else None,
             diagnoser=diag,
         )
@@ -896,12 +899,6 @@ def _add_ingest_args(
         type=int,
         default=d.chunk_size,
         help="stream: samples per chunk",
-    )
-    p.add_argument(
-        "--pool",
-        choices=["auto", "thread", "process"],
-        default=d.pool,
-        help="stream: worker backend (auto = processes unless single-CPU)",
     )
     p.add_argument(
         "--workers",

@@ -182,9 +182,8 @@ class HybridTrace:
             self._index_cache = _ItemIndex(self)
         return self._index_cache
 
-    # Traces cross process boundaries when per-core shards are integrated
-    # in a worker pool; ship windows as columns so pickling is array-speed
-    # instead of one dataclass per window.
+    # Pickle windows as columns, so a trace saved or shipped to another
+    # process costs array-speed instead of one dataclass per window.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_by_key_cache"] = None

@@ -1,9 +1,9 @@
 """One options object for every ingestion entry point.
 
-Before this module existed, the same six knobs travelled under three
-spellings: ``ingest_trace(chunk_size=..., workers=..., pool=...)`` in
-Python, ``--chunk-size --workers --pool`` on the CLI, and ad-hoc subsets
-in ``repro monitor`` and the benchmarks.  :class:`IngestOptions` is the
+Before this module existed, the same knobs travelled under three
+spellings: ``ingest_trace(chunk_size=..., workers=...)`` in Python,
+``--chunk-size --workers`` on the CLI, and ad-hoc subsets in ``repro
+monitor`` and the benchmarks.  :class:`IngestOptions` is the
 single canonical form: the facade (:mod:`repro.api`), the CLI (via
 :meth:`IngestOptions.from_args`), :func:`repro.core.streaming.ingest_trace`
 and the ingestion daemon (:mod:`repro.service`) all accept exactly this
@@ -38,11 +38,10 @@ class IngestOptions:
 
     #: Samples per chunk (bounded-memory re-slicing); None = file layout.
     chunk_size: int | None = DEFAULT_CHUNK_SIZE
-    #: Core-shards integrated concurrently (1 = sequential, in-process).
+    #: Core-shards integrated concurrently: 1 streams them one after
+    #: another in the calling thread, N > 1 on N threads sharing one
+    #: open container.
     workers: int = 1
-    #: Worker backend: "auto" (threads only on single-CPU hosts),
-    #: "thread", or "process".
-    pool: str = "auto"
     #: Corruption policy: "strict" raises, "quarantine" drops chunks,
     #: "repair" drops only the offending records.
     on_corruption: str = "strict"
@@ -62,10 +61,6 @@ class IngestOptions:
             raise TraceError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.workers < 1:
             raise TraceError(f"workers must be >= 1, got {self.workers}")
-        if self.pool not in ("auto", "thread", "process"):
-            raise TraceError(
-                f"pool must be 'auto', 'thread' or 'process', got {self.pool!r}"
-            )
         check_policy(self.on_corruption)
         if self.shard_timeout is not None and self.shard_timeout <= 0:
             raise TraceError(f"shard_timeout must be > 0, got {self.shard_timeout}")
@@ -98,7 +93,6 @@ class IngestOptions:
         return cls(
             chunk_size=getattr(args, "chunk_size", defaults.chunk_size),
             workers=getattr(args, "workers", defaults.workers),
-            pool=getattr(args, "pool", defaults.pool),
             on_corruption=getattr(args, "on_corruption", defaults.on_corruption),
             shard_timeout=getattr(args, "shard_timeout", defaults.shard_timeout),
             max_retries=getattr(args, "max_retries", defaults.max_retries),

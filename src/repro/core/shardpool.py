@@ -12,18 +12,21 @@ of parallel or fallible work, not just container ingestion.  Users:
   compaction retries with backoff while a deterministic failure (a
   corrupt journal) fails fast instead of looping.
 
+Shard workers are threads: they share the caller's address space (and
+its open container reader), and the hot numpy and zlib calls release
+the GIL.  A fork-based process backend was measured slower than one
+thread on every host tried, so there is no other backend.
+
 The classification rule is shared: a :class:`~repro.errors.TraceError`
 is *permanent* — it is deterministic, the stored bytes will not change
-on retry — while timeouts and infrastructure failures (a worker killed
-by the OOM killer, a transient ``OSError``) are *retryable*.
+on retry — while timeouts and any other exception (a transient
+``OSError``, a ``MemoryError``) are *retryable*.
 """
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import multiprocessing.pool
-import os
 import time
 from typing import Callable, TypeVar
 
@@ -34,79 +37,31 @@ from repro.obs.spans import span
 T = TypeVar("T")
 
 
-def use_threads(pool: str) -> bool:
-    """Resolve a pool spelling ("auto"/"thread"/"process") to a backend."""
-    if pool == "thread":
-        return True
-    if pool == "process":
-        return False
-    if pool == "auto":
-        # With a single CPU the process pool is pure overhead: forking,
-        # shipping shard results between address spaces, and faulting in
-        # copy-on-write pages can never be repaid by parallelism that
-        # does not exist.  Threads share the address space, and the hot
-        # numpy ops release the GIL, so they also scale on real hosts.
-        return (os.cpu_count() or 1) < 2
-    raise TraceError(f"pool must be 'auto', 'thread' or 'process', got {pool!r}")
-
-
-def make_pool(n_procs: int, threads: bool):
-    """Build a worker pool; returns (pool, cleanup) — cleanup kills it.
-
-    ``cleanup`` uses ``terminate()`` rather than ``close()``/``join()``
-    deliberately: a hung worker never finishes its task, so a graceful
-    shutdown would hang the parent with it.  Terminating a process pool
-    kills the workers outright; terminating a ThreadPool abandons its
-    daemon threads (they cannot be killed, but they no longer block
-    anything).
-    """
-    if threads:
-        p = multiprocessing.pool.ThreadPool(processes=n_procs)
-        return p, p.terminate
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
-        ctx = multiprocessing.get_context("spawn")
-    # Freeze the parent heap before forking: without this, the first
-    # garbage collection in each child touches every inherited object and
-    # copy-on-write duplicates the whole parent heap per worker.
-    gc.collect()
-    gc.freeze()
-    p = ctx.Pool(processes=n_procs)
-
-    def cleanup() -> None:
-        p.terminate()
-        gc.unfreeze()
-
-    return p, cleanup
-
-
 def shard_round(
     jobs: list[tuple[int, tuple]],
-    n_procs: int,
-    threads: bool,
+    n_threads: int,
     shard_timeout: float | None,
     shard_fn,
 ) -> tuple[dict[int, tuple], dict[int, str], dict[int, str]]:
-    """Run one attempt of every shard job in a fresh pool.
+    """Run one attempt of every shard job in a fresh thread pool.
 
     Returns ``(done, retryable, permanent)`` keyed by core.  A
     :class:`~repro.errors.TraceError` is *permanent*: it is deterministic
-    (the stored bytes will not change on retry).  Timeouts and anything
-    else (a worker killed by the OOM killer surfaces as a pool error) are
-    *retryable*.  The pool is terminated at the end of the round either
-    way, which is what reclaims workers hung past their timeout.
+    (the stored bytes will not change on retry).  Timeouts and any other
+    exception are *retryable*.  The pool is terminated at the end of the
+    round either way: ``terminate()`` rather than ``close()``/``join()``,
+    because a hung shard never finishes and a graceful shutdown would
+    hang the caller with it.  A thread cannot be killed, so a shard hung
+    past its timeout is abandoned (its daemon thread blocks nothing).
     """
     done: dict[int, tuple] = {}
     retryable: dict[int, str] = {}
     permanent: dict[int, str] = {}
     ins = _obs()
     t_round = time.perf_counter()
-    pool_obj, cleanup = make_pool(n_procs, threads)
+    pool = multiprocessing.pool.ThreadPool(processes=n_threads)
     try:
-        handles = [
-            (core, pool_obj.apply_async(shard_fn, args)) for core, args in jobs
-        ]
+        handles = [(core, pool.apply_async(shard_fn, args)) for core, args in jobs]
         for core, handle in handles:
             try:
                 done[core] = handle.get(shard_timeout)
@@ -117,17 +72,16 @@ def shard_round(
                 )
             except TraceError as exc:
                 permanent[core] = f"{type(exc).__name__}: {exc}"
-            except Exception as exc:  # worker/pool infrastructure failure
+            except Exception as exc:  # transient worker failure
                 retryable[core] = f"{type(exc).__name__}: {exc}"
     finally:
-        cleanup()
+        pool.terminate()
     return done, retryable, permanent
 
 
 def run_supervised(
     jobs: list[tuple[int, tuple]],
-    n_procs: int,
-    threads: bool,
+    n_threads: int,
     shard_timeout: float | None,
     max_retries: int,
     retry_backoff_s: float,
@@ -136,7 +90,7 @@ def run_supervised(
     """Drive shard jobs to completion with bounded retries and backoff.
 
     ``max_retries`` bounds the *re*-attempts after the first try.  Each
-    round runs in a fresh pool so a worker hung in round N cannot occupy
+    round runs in a fresh pool so a thread hung in round N cannot occupy
     a slot in round N+1.  Returns ``(results, failures, retries)`` keyed
     by core; a core appears in exactly one of the first two.
     """
@@ -150,8 +104,7 @@ def run_supervised(
         with span("ingest.round", attempt=attempt, shards=len(outstanding)):
             done, retryable, permanent = shard_round(
                 outstanding,
-                min(n_procs, len(outstanding)),
-                threads,
+                min(n_threads, len(outstanding)),
                 shard_timeout,
                 shard_fn,
             )
@@ -216,8 +169,6 @@ def supervised_call(
 
 
 __all__ = [
-    "use_threads",
-    "make_pool",
     "shard_round",
     "run_supervised",
     "supervised_call",

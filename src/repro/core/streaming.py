@@ -13,11 +13,12 @@ more than one chunk of one core's samples:
   integration, so the resulting :class:`~repro.core.hybrid.HybridTrace`
   is **bitwise-identical** to ``integrate()`` on the concatenated
   samples.
-* :func:`ingest_trace` drives a whole container: sequentially (feeding
-  a :class:`~repro.analysis.diagnose.StreamingDiagnoser` as items
+* :func:`ingest_trace` drives a whole container through one open
+  :class:`~repro.core.tracefile.TraceReader`: sequentially (feeding a
+  :class:`~repro.analysis.diagnose.StreamingDiagnoser` as items
   complete, so diagnosis runs *while* ingesting), or fanned out per
-  core-shard over a ``multiprocessing`` pool, with per-core partial
-  traces combined by :func:`~repro.core.hybrid.merge_traces`.
+  core-shard over a thread pool sharing that reader, with per-core
+  partial traces combined by :func:`~repro.core.hybrid.merge_traces`.
 
 Switch logs are two records per data-item — tiny next to the sample
 stream — so window state is built whole per core; only samples stream.
@@ -25,6 +26,7 @@ stream — so window state is built whole per core; only samples stream.
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -65,7 +67,7 @@ from repro.core.records import (
     build_windows,
     windows_as_arrays,
 )
-from repro.core.shardpool import run_supervised, use_threads
+from repro.core.shardpool import run_supervised
 from repro.core.symbols import UNKNOWN, SymbolTable
 from repro.core.tracefile import TraceReader
 from repro.errors import IntegrationError, ShardError, TraceError
@@ -391,7 +393,7 @@ class IngestStats:
     workers: int
     chunk_size: int
     wall_s: float
-    #: Resolved worker backend: "inline" (workers=1), "thread", "process".
+    #: Worker backend: "inline" (workers=1) or "thread".
     pool: str = "inline"
     #: Cores whose shards failed permanently (partial-result merge).
     failed_cores: tuple[int, ...] = ()
@@ -494,22 +496,21 @@ def _stream_core(
 
 
 def _integrate_core_shard(
-    path: str, core: int, chunk_size: int | None, policy: str = POLICY_STRICT
+    reader: TraceReader, core: int, chunk_size: int | None, policy: str
 ) -> tuple[int, HybridTrace, int, list[Defect], CoverageStats]:
-    """Worker: stream-integrate one core's shard of a container.
+    """Shard worker: stream-integrate one core of a shared open container.
 
-    Module-level so it pickles into a multiprocessing pool; each worker
-    opens its own reader and touches only its core's members.  Defects
-    and coverage travel back with the shard result so the parent can fold
-    them into the run-wide accounting.
+    Runs in a pool thread and touches only its own core's members of the
+    reader.  Defects and coverage are collected per shard and travel back
+    with the result, so the caller folds them into the run-wide
+    accounting.
     """
-    with TraceReader(path) as reader:
-        quarantine = QuarantineLog()
-        coverage = CoverageStats(core=core)
-        trace, chunks = _stream_core(
-            reader, core, chunk_size, policy, quarantine, coverage
-        )
-        return core, trace, chunks, quarantine.defects, coverage
+    quarantine = QuarantineLog()
+    coverage = CoverageStats(core=core)
+    trace, chunks = _stream_core(
+        reader, core, chunk_size, policy, quarantine, coverage
+    )
+    return core, trace, chunks, quarantine.defects, coverage
 
 
 def replay_into(
@@ -541,7 +542,7 @@ def replay_into(
 
 
 def ingest_trace(
-    path: str | pathlib.Path,
+    source: str | pathlib.Path | TraceReader,
     *,
     options: IngestOptions | None = None,
     cores: list[int] | None = None,
@@ -550,19 +551,18 @@ def ingest_trace(
 ) -> IngestResult:
     """Stream-integrate a trace container and merge the per-core shards.
 
-    Ingestion knobs travel in one :class:`~repro.core.options.IngestOptions`
-    object (``options=``).  The individual ``chunk_size=``/``workers=``/...
-    keywords were a deprecated spelling shimmed for one release and have
-    been removed; passing them now raises :class:`TypeError`.
+    ``source`` is a container path, opened once for the whole run, or a
+    :class:`~repro.core.tracefile.TraceReader` the caller already holds
+    open (it is left open).  Ingestion knobs travel in one
+    :class:`~repro.core.options.IngestOptions` object (``options=``).
 
-    ``options.workers > 1`` fans core-shards out to a worker pool (each worker
-    reads only its own core's chunk members); ``pool`` selects processes
-    or threads, with ``"auto"`` picking threads on single-CPU hosts where
-    process fan-out cannot pay for itself.  With one worker, cores are
-    streamed in-process and ``diagnoser`` — if given — observes each item
-    the moment its windows complete, i.e. diagnosis runs while ingesting.
-    After a parallel ingest the diagnoser is fed by replaying the merged
-    trace in item-completion order instead.
+    ``options.workers > 1`` fans core-shards out to a thread pool whose
+    workers share the one reader, each reading only its own core's chunk
+    members.  With one worker, cores are streamed in the calling thread
+    and ``diagnoser`` — if given — observes each item the moment its
+    windows complete, i.e. diagnosis runs while ingesting.  After a
+    parallel ingest the diagnoser is fed by replaying the merged trace in
+    item-completion order instead.
 
     Fault tolerance:
 
@@ -574,9 +574,9 @@ def ingest_trace(
     * ``shard_timeout`` bounds each parallel shard's wall time;
       ``max_retries`` re-attempts timed-out or crashed shards (with
       exponential backoff starting at ``retry_backoff_s``) in a fresh
-      pool, so a hung worker cannot stall the run.  Retries apply only to
-      nondeterministic failures — a corrupt shard fails the same way
-      every time and is not retried.
+      pool, so a hung shard thread is abandoned and cannot stall the
+      run.  Retries apply only to nondeterministic failures — a corrupt
+      shard fails the same way every time and is not retried.
     * A shard that fails permanently fails the run under ``"strict"``;
       under a lenient policy the remaining shards still merge, the lost
       core is reported in ``stats.failed_cores`` with a
@@ -584,18 +584,17 @@ def ingest_trace(
       its coverage is marked ``shard_failed``.  Only when *every* shard
       fails does a lenient run raise :class:`~repro.errors.ShardError`.
 
-    ``_shard_fn`` swaps the shard worker (fault-injection tests).
+    ``_shard_fn`` swaps the shard worker (fault-injection tests); it is
+    called as ``(reader, core, chunk_size, policy)``.
     """
     opts = options if options is not None else IngestOptions()
     chunk_size = opts.chunk_size
     workers = opts.workers
     record_bytes = opts.record_bytes
     on_corruption = opts.on_corruption
-    threads = use_threads(opts.pool)
     strict = on_corruption == POLICY_STRICT
     shard_fn = _shard_fn if _shard_fn is not None else _integrate_core_shard
     t0 = time.perf_counter()
-    path = str(path)
     per_core: dict[int, HybridTrace] = {}
     quarantine = QuarantineLog()
     coverage: dict[int, CoverageStats] = {}
@@ -604,9 +603,15 @@ def ingest_trace(
     chunks_by_core: dict[int, int] = {}
     total_chunks = 0
     anomalies = AnomalyLog(opts.anomaly.log_capacity) if opts.anomaly.enabled else None
-    if workers == 1:
-        with TraceReader(path) as reader:
-            use_cores = cores if cores is not None else reader.sample_cores
+    opened = (
+        contextlib.nullcontext(source)
+        if isinstance(source, TraceReader)
+        else TraceReader(source)
+    )
+    with opened as reader:
+        path = str(reader.path)
+        use_cores = cores if cores is not None else reader.sample_cores
+        if workers == 1:
             for core in use_cores:
                 cov = CoverageStats(core=core)
                 try:
@@ -636,26 +641,24 @@ def ingest_trace(
                 coverage[core] = cov
                 chunks_by_core[core] = chunks
                 total_chunks += chunks
-    else:
-        with TraceReader(path) as reader:
-            use_cores = cores if cores is not None else reader.sample_cores
+        else:
             for core in use_cores:  # fail fast on unknown cores
                 reader._check_core(core)
-        n_procs = min(workers, max(len(use_cores), 1))
-        jobs = [
-            (core, (path, core, chunk_size, on_corruption)) for core in use_cores
-        ]
-        results, shard_failures, retries = run_supervised(
-            jobs, n_procs, threads, opts.shard_timeout, opts.max_retries,
-            opts.retry_backoff_s, shard_fn,
-        )
-        for core, trace, chunks, defects, cov in results.values():
-            per_core[core] = trace
-            coverage[core] = cov
-            cov.retries = retries.get(core, 0)
-            quarantine.extend(defects)
-            chunks_by_core[core] = chunks
-            total_chunks += chunks
+            jobs = [
+                (core, (reader, core, chunk_size, on_corruption))
+                for core in use_cores
+            ]
+            results, shard_failures, retries = run_supervised(
+                jobs, min(workers, max(len(use_cores), 1)), opts.shard_timeout,
+                opts.max_retries, opts.retry_backoff_s, shard_fn,
+            )
+            for core, trace, chunks, defects, cov in results.values():
+                per_core[core] = trace
+                coverage[core] = cov
+                cov.retries = retries.get(core, 0)
+                quarantine.extend(defects)
+                chunks_by_core[core] = chunks
+                total_chunks += chunks
     for core, msg in sorted(shard_failures.items()):
         if strict:
             raise ShardError(f"shard for core {core} failed permanently: {msg}")
@@ -673,9 +676,9 @@ def ingest_trace(
         cov.unknown_extent = True
         cov.retries = retries.get(core, 0)
     if anomalies is not None and workers > 1 and opts.anomaly.wants(KIND_LOW_COVERAGE):
-        # Workers cannot share the parent's log; the in-stream checkers
-        # need workers=1 (repro monitor forces it), but the end-of-shard
-        # coverage invariant replays here from the collected stats.
+        # The in-stream checkers run only with workers=1 (repro monitor
+        # forces it), but the end-of-shard coverage invariant replays
+        # here from the collected stats.
         for core in sorted(coverage):
             CoverageChecker(anomalies, opts.anomaly).check(coverage[core])
     if not per_core:
@@ -691,9 +694,9 @@ def ingest_trace(
         replay_into(diagnoser, merged, record_bytes=record_bytes)
     wall = time.perf_counter() - t0
     n_samples = sum(t.total_samples for t in per_core.values())
-    # Shard-level totals are published by the parent from the collected
-    # results, so they are correct even when the shards ran in a process
-    # pool whose in-child counter updates died with the workers.
+    # Shard-level totals are published from the collected results; the
+    # shard threads fed the live integrator/integrity counters of the same
+    # registry, so the two families agree at any worker count.
     ins = _obs()
     ins.ingest_samples.inc(n_samples)
     ins.ingest_chunks.inc(total_chunks)
@@ -711,7 +714,7 @@ def ingest_trace(
         workers=workers,
         chunk_size=chunk_size if chunk_size is not None else 0,
         wall_s=wall,
-        pool="inline" if workers == 1 else ("thread" if threads else "process"),
+        pool="inline" if workers == 1 else "thread",
         failed_cores=tuple(sorted(shard_failures)),
     )
     return IngestResult(

@@ -472,6 +472,29 @@ def _monotone_keep_mask(ts: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _crc_mismatches(crc_map: dict, members) -> list[str]:
+    """Names of the ``(name, array)`` members that fail the v3 crc32 map.
+
+    A member the map does not list (older files, or checks switched off
+    with an empty map) passes.
+    """
+    return [
+        name
+        for name, arr in members
+        if name in crc_map and member_crc(arr) != int(crc_map[name])
+    ]
+
+
+def _checked_member(data, crc_map: dict, key: str, path) -> np.ndarray:
+    """Read one member; :class:`CorruptionError` if it fails its crc32."""
+    arr = data[key]
+    if _crc_mismatches(crc_map, [(key, arr)]):
+        raise CorruptionError(
+            f"{path}: member {key} fails its crc32 check (stored {crc_map[key]})"
+        )
+    return arr
+
+
 def load_trace(
     path: str | pathlib.Path, *, verify_checksums: bool = True
 ) -> TraceFile:
@@ -488,13 +511,7 @@ def load_trace(
     crc_map = (header.get("crc32") or {}) if verify_checksums else {}
 
     def _member(key: str) -> np.ndarray:
-        arr = data[key]
-        want = crc_map.get(key)
-        if want is not None and member_crc(arr) != int(want):
-            raise CorruptionError(
-                f"{path}: member {key} fails its crc32 check (stored {want})"
-            )
-        return arr
+        return _checked_member(data, crc_map, key, path)
 
     with data:
         symtab = _load_symtab(data)
@@ -793,13 +810,9 @@ class TraceReader:
                 )
 
         # 2. crc32 vs the v3 map (absent for older files -> skipped).
-        bad_crc = [
-            name
-            for name, arr in zip(names, (ts, ip, tag))
-            if not repaired
-            and name in self._crc
-            and member_crc(arr) != int(self._crc[name])
-        ]
+        bad_crc = (
+            [] if repaired else _crc_mismatches(self._crc, zip(names, (ts, ip, tag)))
+        )
         if bad_crc:
             ins.crc_failures.inc(len(bad_crc))
         # 3. Timestamp monotonicity within the chunk.
@@ -897,16 +910,18 @@ class TraceReader:
                 open_hi = True
         return lo, (None if open_hi else hi)
 
-    def _switch_arrays(
-        self, core: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _switch_member_names(self, core: int) -> tuple[str, str, str]:
         if core not in self._header["switch_cores"]:
             raise TraceError(f"trace file has no switch records for core {core}")
         return (
-            self._npz[f"core{core}_switch_ts"],
-            self._npz[f"core{core}_switch_item"],
-            self._npz[f"core{core}_switch_kind"],
+            f"core{core}_switch_ts",
+            f"core{core}_switch_item",
+            f"core{core}_switch_kind",
         )
+
+    def _member(self, key: str) -> np.ndarray:
+        """Read one member under the strict crc32 check, like load_trace."""
+        return _checked_member(self._npz, self._crc, key, self.path)
 
     def switch_window_columns(
         self,
@@ -932,19 +947,9 @@ class TraceReader:
         check_policy(policy)
         quarantine = quarantine if quarantine is not None else QuarantineLog()
         coverage = coverage if coverage is not None else CoverageStats(core=core)
-        ts, item, kinds = self._switch_arrays(core)
-        crc_bad = [
-            name
-            for name, arr in zip(
-                (
-                    f"core{core}_switch_ts",
-                    f"core{core}_switch_item",
-                    f"core{core}_switch_kind",
-                ),
-                (ts, item, kinds),
-            )
-            if name in self._crc and member_crc(arr) != int(self._crc[name])
-        ]
+        names = self._switch_member_names(core)
+        ts, item, kinds = (self._npz[name] for name in names)
+        crc_bad = _crc_mismatches(self._crc, zip(names, (ts, item, kinds)))
         if crc_bad:
             _obs().crc_failures.inc(len(crc_bad))
             detail = f"crc32 mismatch in {', '.join(crc_bad)}"
@@ -998,8 +1003,12 @@ class TraceReader:
         return self.switch_window_columns(core).to_windows()
 
     def switches(self, core: int) -> SwitchRecords:
-        """One core's switch log as a :class:`SwitchRecords` object."""
-        ts, item, kind_codes = self._switch_arrays(core)
+        """One core's switch log as a :class:`SwitchRecords` object.
+
+        Checked against the crc32 map like :func:`load_trace`: a corrupt
+        log raises :class:`CorruptionError` instead of being handed on.
+        """
+        ts, item, kind_codes = map(self._member, self._switch_member_names(core))
         kinds = [_CODE_KIND[int(c)] for c in kind_codes.tolist()]
         return SwitchRecords.from_arrays(core, ts, item, kinds)
 
@@ -1011,18 +1020,7 @@ class TraceReader:
     def wait_columns(self, core: int) -> WaitColumns:
         """One core's wait edges; empty for containers without the
         optional member set (never an error)."""
-
-        def _member(key: str) -> np.ndarray:
-            arr = self._npz[key]
-            want = self._crc.get(key)
-            if want is not None and member_crc(arr) != int(want):
-                raise CorruptionError(
-                    f"{self.path}: member {key} fails its crc32 check "
-                    f"(stored {want})"
-                )
-            return arr
-
-        return _read_wait_columns(self._npz, self._header, core, _member)
+        return _read_wait_columns(self._npz, self._header, core, self._member)
 
 
 def save_session(

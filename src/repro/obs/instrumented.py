@@ -18,13 +18,12 @@ so the same call sites serve three modes with no branching:
 * **enabled across a thread pool**: same registry, same instruments —
   all instrument mutation is lock-protected.
 
-Process pools are the documented exception: a forked worker's counters
-die with it, so :func:`repro.core.streaming.ingest_trace` publishes
-shard-level totals from the results it collects in the parent
-(`repro_ingest_*`), while the live low-level counters
-(`repro_integrator_*`, `repro_integrity_*`) reflect whatever ran in the
-publishing process.  With the CLI's default sequential ingest the two
-families agree exactly — the acceptance tests pin that.
+:func:`repro.core.streaming.ingest_trace` publishes shard-level totals
+from the results it collects (`repro_ingest_*`), while the shards
+update the live low-level counters (`repro_integrator_*`,
+`repro_integrity_*`) as they run.  Shard workers are threads on the
+same registry, so the two families agree exactly at any worker count —
+the acceptance tests pin that at 1 and 2 workers.
 
 :func:`publish_quarantine` is the single source of the CLI's quarantine
 summary: it folds a :class:`~repro.core.integrity.QuarantineLog` into

@@ -11,9 +11,8 @@ exact behavior instead of trusting code inspection:
 * semantic faults — :func:`drop_switch_records` /
   :func:`duplicate_switch_records` (log-buffer overrun, double marking);
 * worker faults — :func:`hang_then_integrate` /
-  :func:`flaky_then_integrate`, module-level so ``functools.partial`` of
-  them pickles into a process pool, for ``ingest_trace``'s ``_shard_fn``
-  hook;
+  :func:`flaky_then_integrate`, shard workers for ``ingest_trace``'s
+  ``_shard_fn`` hook (a hung shard thread is abandoned, not killed);
 * writer faults — shims over the durable recorder's
   :class:`~repro.core.durable.RecorderIO` syscall surface:
   :class:`CrashingIO` (SIGKILL before operation N, optionally tearing a
@@ -418,12 +417,12 @@ class FsyncFailingIO(CountingIO):
 
 
 # ---------------------------------------------------------------------------
-# Worker faults — module-level so functools.partial of them pickles into a
-# process pool (fork pickles functions by reference).
+# Worker faults — shard workers for ingest_trace's ``_shard_fn`` hook; bind
+# the fault parameters with functools.partial.
 
 
 def hang_then_integrate(
-    path: str,
+    reader,
     core: int,
     chunk_size: int | None,
     policy: str,
@@ -432,16 +431,17 @@ def hang_then_integrate(
 ):
     """Shard worker that hangs on selected cores (supervision tests).
 
-    The sleep stands in for a worker stuck in a dead spin or lost I/O;
-    the supervisor's per-shard timeout must reclaim it.
+    The sleep stands in for a shard stuck in a dead spin or lost I/O.
+    The supervisor cannot kill a thread: at the per-shard timeout it
+    abandons the hung one and the run returns without it.
     """
     if core in hang_cores:
         time.sleep(sleep_s)
-    return _integrate_core_shard(path, core, chunk_size, policy)
+    return _integrate_core_shard(reader, core, chunk_size, policy)
 
 
 def flaky_then_integrate(
-    path: str,
+    reader,
     core: int,
     chunk_size: int | None,
     policy: str,
@@ -451,9 +451,9 @@ def flaky_then_integrate(
 ):
     """Shard worker that crashes transiently, then succeeds on retry.
 
-    Attempts are counted with ``O_EXCL`` marker files in ``marker_dir``
-    because the counting must survive process boundaries: each attempt
-    may run in a different pool worker.
+    Attempts are counted with ``O_EXCL`` marker files in ``marker_dir``,
+    so the count is exact whichever pool thread, and whichever retry
+    round's fresh pool, runs the attempt.
     """
     if core in fail_cores:
         for attempt in range(1, fail_times + 1):
@@ -465,4 +465,4 @@ def flaky_then_integrate(
             raise RuntimeError(
                 f"injected transient failure for core {core} (attempt {attempt})"
             )
-    return _integrate_core_shard(path, core, chunk_size, policy)
+    return _integrate_core_shard(reader, core, chunk_size, policy)

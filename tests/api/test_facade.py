@@ -84,7 +84,7 @@ class TestIngestOptions:
         [
             {"chunk_size": 0},
             {"workers": 0},
-            {"pool": "carrier-pigeon"},
+            {"retry_backoff_s": -1.0},
             {"on_corruption": "shrug"},
             {"max_retries": -1},
             {"record_bytes": 0},

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.symbols import SymbolTable
 from repro.core.tracefile import TraceReader, save_trace
 from repro.errors import IntegrationError, TraceError
 from repro.machine.pebs import SampleArrays
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime.actions import SwitchKind
 
 SYMTAB = SymbolTable.from_ranges({"f": (100, 200), "g": (200, 300)})
@@ -193,21 +196,57 @@ class TestIngestTrace:
         assert res.stats.samples == sum(t.total_samples for t in one_shot.values())
         assert res.stats.chunks > len(one_shot)
 
-    @pytest.mark.parametrize("pool", ["thread", "process", "auto"])
-    def test_parallel_matches_sequential(self, container, pool):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_matches_sequential(self, container, workers):
         path, _ = container
         seq = ingest_trace(path, options=IngestOptions(chunk_size=10, workers=1))
         par = ingest_trace(
-            path, options=IngestOptions(chunk_size=10, workers=2, pool=pool)
+            path, options=IngestOptions(chunk_size=10, workers=workers)
         )
         assert traces_equal(seq.trace, par.trace)
+        for core, t in seq.per_core.items():
+            assert traces_equal(t, par.per_core[core])
         assert seq.stats.pool == "inline"
-        assert par.stats.pool in ("thread", "process")
+        assert par.stats.pool == "thread"
 
-    def test_bad_pool_rejected(self, container):
+    def test_open_reader_is_shared_and_left_open(self, container):
         path, _ = container
-        with pytest.raises(TraceError, match="pool"):
-            ingest_trace(path, options=IngestOptions(workers=2, pool="greenlet"))
+        seq = ingest_trace(path, options=IngestOptions(chunk_size=10))
+        with TraceReader(path) as reader:
+            par = ingest_trace(
+                reader, options=IngestOptions(chunk_size=10, workers=2)
+            )
+            # Still open for the caller: members can be read after ingest.
+            assert len(reader.switches(reader.sample_cores[0]))
+        assert traces_equal(seq.trace, par.trace)
+
+    def test_shared_reader_under_thread_switch_stress(self, tmp_path):
+        # Eight shard threads (more than the CPUs of a small host) read
+        # one compressed container with a very short switch interval: a
+        # torn member read or a lost counter update would break equality.
+        samples, switches, one_shot = {}, {}, {}
+        for core in range(8):
+            s, r = make_trace_data(core_id=core, n_items=40, seed=300 + core)
+            samples[core], switches[core] = s, r
+            one_shot[core] = integrate(s, r, SYMTAB)
+        path = tmp_path / "eight.npz"
+        save_trace(path, samples, switches, SYMTAB, chunk_size=8)
+        opts = IngestOptions(chunk_size=4, workers=8, shard_timeout=60.0)
+        reg = MetricsRegistry()
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use_registry(reg):
+                results = [ingest_trace(path, options=opts) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(prev)
+        for res in results:
+            assert res.stats.failed_cores == ()
+            for core, t in one_shot.items():
+                assert traces_equal(res.per_core[core], t)
+        n_samples = sum(len(s) for s in samples.values())
+        assert reg.value("repro_integrator_samples_total") == 3 * n_samples
+        assert reg.value("repro_ingest_samples_total") == 3 * n_samples
 
     def test_core_subset(self, container):
         path, one_shot = container

@@ -1,10 +1,11 @@
 """Worker-pool supervision: hung shards, transient crashes, retries.
 
 These tests inject misbehaving shard workers through ``ingest_trace``'s
-``_shard_fn`` hook with ``pool="process"`` — a hung *process* can really
-be killed by the supervisor's pool teardown, which is the property under
-test.  Sleeps are kept short so a supervision bug shows up as a test
-failure, not a stalled suite (CI adds a job-level timeout on top).
+``_shard_fn`` hook on two shard threads.  A thread cannot be killed: the
+property under test is that the supervisor abandons a shard hung past
+its timeout and the run still returns on time.  Timeouts are kept short
+so a supervision bug shows up as a test failure, not a stalled suite
+(CI adds a job-level timeout on top).
 """
 
 from __future__ import annotations
@@ -24,8 +25,27 @@ from tests.faults.conftest import CHUNK
 
 def ingest(path, **kw):
     shard_fn = kw.pop("_shard_fn", None)
-    opts = IngestOptions(workers=2, pool="process", chunk_size=CHUNK).replace(**kw)
+    opts = IngestOptions(workers=2, chunk_size=CHUNK).replace(**kw)
     return ingest_trace(path, options=opts, _shard_fn=shard_fn)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_thread_shards_match_sequential(trace_copy, workers):
+    # Shard threads share one reader; a damaged container must come out
+    # exactly as the sequential ingest leaves it: traces, defects and
+    # coverage alike.
+    from repro.testing import faults as f
+
+    f.flip_sample_bit(trace_copy, 0, chunk=1, column="ts", index=3, bit=60)
+    f.flip_switch_bit(trace_copy, 1, index=4, bit=40)
+    seq = ingest(trace_copy, workers=1, on_corruption="repair")
+    par = ingest(trace_copy, workers=workers, on_corruption="repair")
+    assert seq.quarantine.defects
+    assert traces_equal(par.trace, seq.trace)
+    for core, trace in seq.per_core.items():
+        assert traces_equal(par.per_core[core], trace)
+    assert par.quarantine.defects == seq.quarantine.defects
+    assert par.coverage == seq.coverage
 
 
 def test_hung_worker_strict_raises(clean_path):

@@ -35,11 +35,12 @@ def test_pipeline_cache_follows_registry():
     assert pipeline().enabled is False
 
 
-def test_ingest_counters_match_report(fixture_trace):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ingest_counters_match_report(fixture_trace, workers):
     reg = MetricsRegistry()
     with use_registry(reg):
         res = ingest_trace(
-            fixture_trace, options=IngestOptions(workers=1, chunk_size=CHUNK)
+            fixture_trace, options=IngestOptions(workers=workers, chunk_size=CHUNK)
         )
     # Shard totals published by the parent equal the result's accounting...
     assert reg.value("repro_ingest_samples_total") == res.stats.samples
@@ -50,7 +51,7 @@ def test_ingest_counters_match_report(fixture_trace):
             reg.value("repro_ingest_shard_samples_total", core=str(core))
             == trace.total_samples
         )
-    # ...and, in sequential mode, exactly match the live low-level counters.
+    # ...and exactly match the live low-level counters the shards fed.
     assert reg.value("repro_integrator_samples_total") == res.stats.samples
     assert reg.value("repro_integrator_chunks_total") == res.stats.chunks
     assert reg.value("repro_integrity_chunks_validated_total") == res.stats.chunks
