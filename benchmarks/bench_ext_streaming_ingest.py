@@ -51,6 +51,7 @@ FULL_SCALE = N_ITEMS >= 40_000  # acceptance assertions need real work
 
 CHUNK_SIZES = (8_192, 65_536, 262_144)
 WORKER_COUNTS = (1, 2, 4)
+ROUNDS = 7  # round-robin timing rounds per configuration
 SAMPLE_BYTES = 24  # three int64 columns per stored sample
 
 SYMTAB = SymbolTable.from_ranges(
@@ -104,14 +105,21 @@ def _one_shot(path):
     return merge_traces([per[c] for c in sorted(per)])
 
 
-def _timed(fn, repeat=3) -> float:
-    walls = []
-    for _ in range(repeat):
-        gc.collect()  # each run starts from the same heap state
-        t0 = time.perf_counter()
-        fn()
-        walls.append(time.perf_counter() - t0)
-    return statistics.median(walls)
+def _timed_round_robin(configs: dict, rounds: int = ROUNDS) -> dict:
+    """Median wall time per configuration, timed in alternation.
+
+    Each round runs every configuration once, in a fixed order, so drift
+    in the host's speed (other tenants, frequency scaling) lands on all of
+    them alike and the medians can rank configurations.
+    """
+    walls = {label: [] for label in configs}
+    for _ in range(rounds):
+        for label, fn in configs.items():
+            gc.collect()  # each run starts from the same heap state
+            t0 = time.perf_counter()
+            fn()
+            walls[label].append(time.perf_counter() - t0)
+    return {label: statistics.median(w) for label, w in walls.items()}
 
 
 def test_streaming_ingest_throughput(trace_path, report, bench_point, benchmark):
@@ -146,61 +154,48 @@ def test_streaming_ingest_throughput(trace_path, report, bench_point, benchmark)
     del res, reference
     gc.collect()
 
-    base_wall = _timed(lambda: _one_shot(trace_path))
-    record_wall("one-shot", base_wall)
+    def stream(chunk_size: int, workers: int):
+        return lambda: ingest_trace(
+            trace_path, options=IngestOptions(chunk_size=chunk_size, workers=workers)
+        )
 
-    rows = [
-        [
-            "one-shot load_trace+integrate",
-            f"{base_wall:.3f}",
-            f"{mb / base_wall:.1f}",
-            f"{n_samples / base_wall / 1e6:.2f}",
-            "1.00x",
-        ]
-    ]
-    chunk_walls = {}
+    # label -> (table row name, configuration); the 65536-chunk,
+    # workers=1 run is both a chunk row and the worker sweep's base.
+    configs = {
+        "one-shot": ("one-shot load_trace+integrate", lambda: _one_shot(trace_path))
+    }
     for chunk_size in CHUNK_SIZES:
-        wall = _timed(
-            lambda cs=chunk_size: ingest_trace(
-                trace_path, options=IngestOptions(chunk_size=cs, workers=1)
-            )
+        configs[f"chunk={chunk_size},workers=1"] = (
+            f"stream chunk={chunk_size} workers=1", stream(chunk_size, 1)
         )
-        chunk_walls[chunk_size] = wall
-        record_wall(f"chunk={chunk_size},workers=1", wall)
-        rows.append(
-            [
-                f"stream chunk={chunk_size} workers=1",
-                f"{wall:.3f}",
-                f"{mb / wall:.1f}",
-                f"{n_samples / wall / 1e6:.2f}",
-                f"{base_wall / wall:.2f}x",
-            ]
-        )
-    worker_walls = {1: chunk_walls[65_536]}
     for workers in WORKER_COUNTS[1:]:
-        wall = _timed(
-            lambda w=workers: ingest_trace(
-                trace_path, options=IngestOptions(chunk_size=65_536, workers=w)
-            )
+        configs[f"chunk=65536,workers={workers}"] = (
+            f"stream chunk=65536 workers={workers} (thread)", stream(65_536, workers)
         )
-        worker_walls[workers] = wall
-        record_wall(f"chunk=65536,workers={workers}", wall)
+    medians = _timed_round_robin({label: fn for label, (_, fn) in configs.items()})
+    base_wall = medians["one-shot"]
+    rows = []
+    for label, (name, _) in configs.items():
+        wall = medians[label]
+        record_wall(label, wall)
         rows.append(
             [
-                f"stream chunk=65536 workers={workers} (thread)",
+                name,
                 f"{wall:.3f}",
                 f"{mb / wall:.1f}",
                 f"{n_samples / wall / 1e6:.2f}",
                 f"{base_wall / wall:.2f}x",
             ]
         )
+    worker_walls = {w: medians[f"chunk=65536,workers={w}"] for w in WORKER_COUNTS}
     text = format_table(
         ["configuration", "wall (s)", "MB/s", "Msamples/s", "speedup"],
         rows,
         title=(
             f"streaming sharded ingest vs one-shot baseline: {N_CORES} cores x "
             f"{N_ITEMS} items x {SAMPLES_PER_ITEM} samples ({mb:.0f} MB of "
-            f"sample columns; host has {os.cpu_count()} CPU(s))"
+            f"sample columns; host has {os.cpu_count()} CPU(s); medians of "
+            f"{ROUNDS} round-robin runs)"
         ),
     )
     report("ext_streaming_ingest", text)

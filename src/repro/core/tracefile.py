@@ -372,29 +372,39 @@ class TraceFile:
 
 
 def _open_container(path: str | pathlib.Path):
-    """np.load + header parse shared by load_trace and TraceReader."""
+    """Open a container and parse its header (load_trace and TraceReader).
+
+    The file handle is opened here and handed to the ``NpzFile``, which
+    owns it from then on.  Every error path closes it, including a
+    truncated zip that makes the ``NpzFile`` constructor itself raise.
+    """
     try:
-        data = np.load(str(path), allow_pickle=False)
-    except _READ_ERRORS as exc:
-        # Narrowed deliberately: KeyboardInterrupt and MemoryError must
-        # propagate during ingestion instead of masquerading as a corrupt
-        # file.
+        fh = open(path, "rb")
+    except OSError as exc:
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
-    if "header_json" not in data:
-        data.close()
-        raise TraceError(f"{path} is not a repro trace file (no header)")
     try:
-        header = json.loads(bytes(data["header_json"]).decode("utf-8"))
-    except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
-        data.close()
-        raise TraceError(f"{path} has a corrupt header: {exc}") from exc
-    version = header.get("version")
-    if not isinstance(version, int) or not 1 <= version <= FORMAT_VERSION:
-        data.close()
-        raise TraceError(
-            f"trace file version {version} unsupported "
-            f"(this build reads versions 1..{FORMAT_VERSION})"
-        )
+        try:
+            data = np.lib.npyio.NpzFile(fh, own_fid=True, allow_pickle=False)
+        except _READ_ERRORS as exc:
+            # Narrowed deliberately: KeyboardInterrupt and MemoryError must
+            # propagate during ingestion instead of masquerading as a
+            # corrupt file.
+            raise TraceError(f"cannot read trace file {path}: {exc}") from exc
+        if "header_json" not in data:
+            raise TraceError(f"{path} is not a repro trace file (no header)")
+        try:
+            header = json.loads(bytes(data["header_json"]).decode("utf-8"))
+        except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
+            raise TraceError(f"{path} has a corrupt header: {exc}") from exc
+        version = header.get("version")
+        if not isinstance(version, int) or not 1 <= version <= FORMAT_VERSION:
+            raise TraceError(
+                f"trace file version {version} unsupported "
+                f"(this build reads versions 1..{FORMAT_VERSION})"
+            )
+    except BaseException:
+        fh.close()
+        raise
     return data, header
 
 

@@ -36,8 +36,10 @@ from repro.runtime.queue import SPSCQueue
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.thread import AppThread
 
-#: Scaled-down spec the default cache sweep probes: small enough that a
-#: Python-loop cache simulation sweeps it in well under a second.
+#: Scaled-down spec the default cache sweep probes.  The cache model walks
+#: each line access in Python, so the sweep's cost follows the largest
+#: probed region (4x the LLC): this geometry sweeps in ~0.04 s, the
+#: default 8 MB-LLC machine in ~3 s (2-vCPU x86_64, Python 3.11).
 SMALL_GEOMETRY = MachineSpec(
     l1=CacheLevelSpec(8 * 1024, 8, 4),
     l2=CacheLevelSpec(32 * 1024, 8, 12),

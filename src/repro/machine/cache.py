@@ -5,15 +5,21 @@ The paper's fluctuations of interest are partly cache-warmth effects
 function per data-item.  This module provides a genuine (not statistical)
 cache model: inclusive-enough set-associative LRU levels over 64-byte lines.
 
-Implementation notes (per the HPC guide: measure, vectorise the hot loop,
-avoid copies):
+Implementation notes (measured on the ``llc-contention`` perfbench
+workload, where this module is nearly all of an op's time):
 
-* Tag and recency state live in preallocated NumPy arrays indexed by set.
-* A single access is a few vectorised operations over one set's ways — no
-  Python-level per-way loop.
-* ``access_lines`` accepts a whole address array; the per-access loop is in
-  Python but each iteration touches only one small row.  Workloads keep
-  access counts bounded (~1e5–1e6 per experiment).
+* Each set is a plain Python list of the resident line addresses in LRU
+  order, least recent first.  A hit moves its entry to the end (skipped
+  when it is already there); a miss on a full set drops the first entry.
+  With 8–16 ways a list scan beats NumPy's per-call overhead by an order
+  of magnitude, and lists take less memory than one dict per set.
+* Entries are keyed by the line address itself, not by a tag: the
+  address is unique within its set, and every level holding a line
+  shares the same int object.
+* ``CacheHierarchy.access_lines`` walks each address once through
+  L1 -> L2 -> LLC, stopping at the first hit.  Within one call the levels
+  hold independent state, so this is the same per-level access sequence
+  as running whole batches level by level.
 """
 
 from __future__ import annotations
@@ -44,11 +50,8 @@ class SetAssocCache:
             )
         self.n_sets = n_lines // spec.ways
         self.ways = spec.ways
-        # -1 marks an empty way; recency holds a global access counter so the
-        # minimum over a set is the LRU way.
-        self._tags = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
-        self._recency = np.zeros((self.n_sets, self.ways), dtype=np.int64)
-        self._tick = 0
+        # One list of resident line addresses per set, LRU first, MRU last.
+        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
 
@@ -59,47 +62,38 @@ class SetAssocCache:
 
     def flush(self) -> None:
         """Invalidate every line and zero statistics."""
-        self._tags.fill(-1)
-        self._recency.fill(0)
-        self._tick = 0
+        for s in self._sets:
+            s.clear()
         self.reset_stats()
 
     def access(self, line_addr: int) -> bool:
         """Access one line; return True on hit.  Misses fill via LRU."""
-        set_idx = line_addr % self.n_sets
-        tag = line_addr // self.n_sets
-        row = self._tags[set_idx]
-        self._tick += 1
-        hit_ways = np.nonzero(row == tag)[0]
-        if hit_ways.size:
-            self._recency[set_idx, hit_ways[0]] = self._tick
+        s = self._sets[line_addr % self.n_sets]
+        if line_addr in s:
+            if s[-1] != line_addr:
+                s.remove(line_addr)
+                s.append(line_addr)
             self.hits += 1
             return True
-        # Miss: victim is an empty way if any, else the LRU way.
-        empty = np.nonzero(row == -1)[0]
-        victim = empty[0] if empty.size else int(np.argmin(self._recency[set_idx]))
-        row[victim] = tag
-        self._recency[set_idx, victim] = self._tick
+        if len(s) == self.ways:
+            del s[0]
+        s.append(line_addr)
         self.misses += 1
         return False
 
     def contains(self, line_addr: int) -> bool:
         """Return True if the line is resident (no state change)."""
-        set_idx = line_addr % self.n_sets
-        tag = line_addr // self.n_sets
-        return bool(np.any(self._tags[set_idx] == tag))
+        return line_addr in self._sets[line_addr % self.n_sets]
 
     def access_lines(self, line_addrs: np.ndarray) -> np.ndarray:
         """Access many lines in order; return a boolean hit mask."""
-        out = np.empty(line_addrs.shape[0], dtype=bool)
-        for i, addr in enumerate(line_addrs):
-            out[i] = self.access(int(addr))
-        return out
+        access = self.access
+        return np.array([access(a) for a in line_addrs.tolist()], dtype=bool)
 
     @property
     def occupancy(self) -> float:
         """Fraction of ways currently holding a valid line."""
-        return float(np.count_nonzero(self._tags != -1)) / self._tags.size
+        return sum(map(len, self._sets)) / (self.n_sets * self.ways)
 
 
 @dataclass(frozen=True)
@@ -136,26 +130,29 @@ class CacheHierarchy:
     def access_lines(self, line_addrs: np.ndarray) -> AccessResult:
         """Run the address stream through L1 -> L2 -> LLC -> DRAM.
 
+        Each address walks the levels in turn and stops at the first hit.
         Returns aggregate miss counts and the total penalty in cycles.
         """
-        n = int(line_addrs.shape[0])
-        if n == 0:
-            return AccessResult(0, 0, 0, 0, 0)
-        l1_hit = self.l1.access_lines(line_addrs)
-        l1_miss_addrs = line_addrs[~l1_hit]
-        l2_hit = self.l2.access_lines(l1_miss_addrs)
-        l2_miss_addrs = l1_miss_addrs[~l2_hit]
-        llc_hit = self.llc.access_lines(l2_miss_addrs)
-        l1_misses = int(l1_miss_addrs.shape[0])
-        l2_misses = int(l2_miss_addrs.shape[0])
-        llc_misses = int(l2_miss_addrs.shape[0] - np.count_nonzero(llc_hit))
+        l1, l2, llc = self.l1.access, self.l2.access, self.llc.access
+        addrs = line_addrs.tolist()
+        l1_misses = l2_misses = llc_misses = 0
+        for addr in addrs:
+            if l1(addr):
+                continue
+            l1_misses += 1
+            if l2(addr):
+                continue
+            l2_misses += 1
+            if not llc(addr):
+                llc_misses += 1
+        spec = self.spec
         penalty = (
-            int(np.count_nonzero(l2_hit)) * self.spec.l2.latency_cycles
-            + int(np.count_nonzero(llc_hit)) * self.spec.llc.latency_cycles
-            + llc_misses * self.spec.dram_latency_cycles
+            (l1_misses - l2_misses) * spec.l2.latency_cycles
+            + (l2_misses - llc_misses) * spec.llc.latency_cycles
+            + llc_misses * spec.dram_latency_cycles
         )
         return AccessResult(
-            accesses=n,
+            accesses=len(addrs),
             l1_misses=l1_misses,
             l2_misses=l2_misses,
             llc_misses=llc_misses,

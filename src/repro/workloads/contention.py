@@ -101,9 +101,12 @@ class ContentionApp:
                 for item in range(1, config.n_items + 1)
             ]
         else:
-            self._walk_offsets = [
-                int(rng.integers(0, region_lines)) for _ in range(config.n_items)
-            ]
+            # One bounded draw of n_items gives the same values as n_items
+            # scalar draws (PCG64 keeps its 32-bit buffer in the bit
+            # generator), at a fraction of the cost.
+            self._walk_offsets = rng.integers(
+                0, region_lines, size=config.n_items
+            ).tolist()
         alloc = AddressAllocator()
         self.victim_poll_ip = alloc.add("victim_loop")
         self.process_ip = alloc.add("process_packet")

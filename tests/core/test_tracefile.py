@@ -1,10 +1,20 @@
 """Tests for the persistent trace container."""
 
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.session import trace
-from repro.core.tracefile import FORMAT_VERSION, load_trace, save_session, save_trace
+from repro.core.tracefile import (
+    FORMAT_VERSION,
+    TraceReader,
+    load_trace,
+    save_session,
+    save_trace,
+)
 from repro.errors import TraceError
 from repro.workloads.sampleapp import SampleApp
 
@@ -69,6 +79,39 @@ class TestValidation:
         path.write_bytes(b"this is not a zip")
         with pytest.raises(TraceError, match="cannot read"):
             load_trace(path)
+
+    def test_npy_file_is_unreadable(self, tmp_path):
+        path = tmp_path / "array.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(3))
+        with pytest.raises(TraceError, match="cannot read"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "cut", [0.5, 0.01, 0.0], ids=["half", "first-bytes", "empty"]
+    )
+    def test_truncated_file_is_closed(self, tmp_path, session_and_app, cut):
+        """A container whose zip cannot be opened raises TraceError and
+        leaves no file handle behind (no ResourceWarning when collected)."""
+        session, app = session_and_app
+        path = tmp_path / "trace.npz"
+        save_session(path, session, app.symtab)
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(raw[: int(len(raw) * cut)])
+        leaked = []
+        hook = sys.unraisablehook
+        sys.unraisablehook = leaked.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                for opener in (load_trace, TraceReader):
+                    with pytest.raises(TraceError, match="cannot read"):
+                        opener(bad)
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert [str(u.exc_value) for u in leaked] == []
 
     def test_version_check(self, tmp_path, session_and_app, monkeypatch):
         session, app = session_and_app

@@ -2,6 +2,7 @@
 
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.core.instrument import MarkingTracer
@@ -81,3 +82,18 @@ class TestContention:
         a = run(FAST, True)
         b = run(FAST, True)
         assert a == b
+
+
+class TestWalkOffsets:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("region_bytes", [768 * 1024, 200 * 64, 4 * 1024 * 1024])
+    def test_one_draw_equals_per_item_draws(self, seed, region_bytes):
+        """The offsets drawn in one call are the values (and Python ints)
+        that one bounded scalar draw per item gives from the same seed."""
+        cfg = ContentionConfig(n_items=200, victim_region_bytes=region_bytes)
+        app = ContentionApp(cfg, rng=np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        region_lines = region_bytes // 64
+        expected = [int(rng.integers(0, region_lines)) for _ in range(cfg.n_items)]
+        assert app._walk_offsets == expected
+        assert all(type(o) is int for o in app._walk_offsets)
