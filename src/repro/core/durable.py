@@ -17,7 +17,7 @@ one crash is not deployable):
 * :func:`recover` replays the journal, salvages every sealed segment
   that still validates, reports everything else through the existing
   :class:`~repro.core.integrity.Defect` / ``QuarantineLog`` machinery,
-  and assembles a valid version-3 container (atomic temp + rename).
+  and assembles a valid container (atomic temp + rename).
   Replay is idempotent: running it twice yields the same container
   content and the same defect report.
 * :meth:`DurableTraceWriter.finalize` **is** that replay run on the
@@ -581,7 +581,7 @@ def recover(
     extra_meta: dict | None = None,
     _finalizing: bool = False,
 ) -> RecoveryReport:
-    """Replay a recording journal into a valid version-3 container.
+    """Replay a recording journal into a valid container.
 
     ``source`` is the journal directory, or the container path whose
     ``<path>.journal`` sibling should be replayed.  ``out`` defaults to

@@ -7,12 +7,12 @@ columns and switch records, plus the symbol table and free-form
 metadata.  Loading gives everything needed to rerun the integration,
 diagnosis, or call-graph guessing without the original process.
 
-Three layouts share the container:
+Four layouts share the container:
 
 * **flat** (format version 1, still written when ``chunk_size`` is not
   given): one member per sample column per core.
 * **chunked** (format version 2): each core's sample columns are split
-  into bounded-size chunk members (``core{c}_s{k}_ts`` …).  Because npz
+  into bounded-size chunk members (``core{c}_s{k}_ts`` …).  Because zip
   members are decompressed individually on access, a chunked file can be
   integrated with bounded memory via :class:`TraceReader` — the layout
   behind :mod:`repro.core.streaming`.  The paper's data-rate analysis
@@ -23,15 +23,26 @@ Three layouts share the container:
   detect bit rot, torn writes, and truncation *before* integrating — and,
   under a lenient corruption policy, skip or repair the damage instead of
   aborting (see :mod:`repro.core.integrity`).
+* **raw, byte-shuffled** (format version 4, the one written today): the
+  same members, but each is stored as its raw bytes instead of an
+  ``.npy`` file, and the header lists every member's ``[dtype, shape]``
+  under ``members``.  Integer members wider than one byte are stored as
+  byte-planes (plane ``j`` holds byte ``j`` of every value) before
+  deflate, which makes sample-dense containers ~3× smaller.  The crc32
+  map still covers the decoded arrays, so it is the same map a v3
+  writer produces.
 
-:func:`load_trace` and :class:`TraceReader` read all three layouts;
-files written by version-1 or version-2 code load unchanged.
+Versions 1–3 store every member, the header included, as an ``.npy``
+file (``header_json.npy``); version 4 stores the header as raw JSON
+bytes (``header_json``).  :func:`load_trace` and :class:`TraceReader`
+read all four; files written by older code load unchanged.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import pathlib
 import zipfile
@@ -73,13 +84,18 @@ from repro.runtime.waitedge import WaitColumns
 #: Format version written into every file; bumped on layout changes.
 #: Version 1 = flat per-core sample columns; version 2 adds the chunked
 #: layout; version 3 adds the crc32 member checksums and per-chunk row
-#: counts.  Readers accept 1..FORMAT_VERSION.
-FORMAT_VERSION = 3
+#: counts; version 4 stores members as raw (integer: byte-shuffled)
+#: bytes instead of ``.npy`` files.  Readers accept 1..FORMAT_VERSION.
+FORMAT_VERSION = 4
+
+#: The header member: raw JSON bytes from version 4 on, a uint8 ``.npy``
+#: array (``header_json.npy``) before.
+_HEADER = "header_json"
 
 _KIND_CODE = {SwitchKind.ITEM_START: 0, SwitchKind.ITEM_END: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
-#: Exceptions np.load / npz member access raise on damaged containers.
+#: Exceptions zip / member decoding raise on damaged containers.
 _READ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
 
 #: Column suffixes of the optional per-core wait-edge member set
@@ -139,11 +155,71 @@ def _write_error(path, exc: OSError) -> TraceWriteError:
     return TraceWriteError(f"cannot write trace file {path}: {what}")
 
 
+def _shuffled(dtype: np.dtype) -> bool:
+    """Whether v4 stores members of ``dtype`` as byte-planes."""
+    return dtype.kind in "iu" and dtype.itemsize > 1
+
+
+def encode_member(arr: np.ndarray) -> bytes:
+    """One member's version-4 stored bytes.
+
+    Integer members wider than one byte are byte-shuffled: plane ``j``
+    holds byte ``j`` of every value, so the slowly varying high bytes of
+    timestamps and addresses sit together, where deflate finds long
+    runs.  The shuffle only permutes bytes, so one flipped stored bit is
+    still one flipped bit of one value: a corrupt timestamp stays
+    localisable to its record.  Every other dtype is stored as is.
+    """
+    a = np.ascontiguousarray(arr)
+    if _shuffled(a.dtype):
+        return a.reshape(-1).view(np.uint8).reshape(-1, a.dtype.itemsize).T.tobytes()
+    return a.tobytes()
+
+
+def decode_member(raw: bytes, dtype: str, shape) -> np.ndarray:
+    """Inverse of :func:`encode_member`: a writable ``dtype`` array of
+    ``shape``; ``ValueError`` when the bytes do not fit the declaration."""
+    try:
+        dt = np.dtype(dtype)
+    except TypeError as exc:
+        raise ValueError(f"bad member dtype {dtype!r}") from exc
+    shape = tuple(int(n) for n in shape)
+    count = math.prod(shape)
+    if dt.hasobject or len(raw) != count * dt.itemsize:
+        raise ValueError(
+            f"{len(raw)} stored bytes do not hold {count} x {dt.str}"
+        )
+    planes = np.frombuffer(raw, dtype=np.uint8)
+    if _shuffled(dt):
+        planes = planes.reshape(dt.itemsize, count).T
+    return planes.copy().view(dt).reshape(shape)
+
+
+def write_zip(fh, members, *, compress: bool) -> None:
+    """Write ``(name, stored bytes)`` pairs to ``fh`` as one zip.
+
+    Compressed members use deflate at zlib's default level (6).  Every
+    entry carries ``ZipInfo``'s default 1980-01-01 timestamp, as
+    ``np.savez`` entries do, so identical input gives a byte-identical
+    file.  ``writestr`` knows each member's size up front and adds zip64
+    records only to a member that needs them, so the bytes do not depend
+    on which Python release wrote them.
+    """
+    method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
+    with zipfile.ZipFile(fh, "w", compression=method, allowZip64=True) as zf:
+        for name, data in members:
+            info = zipfile.ZipInfo(name)
+            info.compress_type = method
+            zf.writestr(info, data)
+
+
 def atomic_savez(
     path: str | pathlib.Path, arrays: dict[str, np.ndarray], *, compress: bool
 ) -> pathlib.Path:
-    """Durably write an npz container: temp file + fsync + ``os.replace``.
+    """Durably write a v4 container: temp file + fsync + ``os.replace``.
 
+    ``arrays`` is a member dict from :func:`build_container_members` (or
+    :func:`with_header`); each member is stored by :func:`encode_member`.
     A crash at any instant leaves either the previous file intact or the
     new one complete — never a truncated container.  Parent directories
     are created, and storage failures surface as
@@ -153,12 +229,15 @@ def atomic_savez(
     """
     final = container_path(path)
     tmp = final.with_name(final.name + ".tmp")
-    writer = np.savez_compressed if compress else np.savez
     try:
         if final.parent and not final.parent.exists():
             final.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
-            writer(fh, **arrays)
+            write_zip(
+                fh,
+                ((name, encode_member(a)) for name, a in arrays.items()),
+                compress=compress,
+            )
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
@@ -171,6 +250,25 @@ def atomic_savez(
     return final
 
 
+def with_header(arrays: dict[str, np.ndarray], header: dict) -> dict[str, np.ndarray]:
+    """``arrays`` plus the v4 header member.
+
+    The header is stamped with :data:`FORMAT_VERSION` and the
+    ``members`` table (``{name: [dtype.str, shape]}``) the reader decodes
+    each member by.
+    """
+    header = dict(
+        header,
+        version=FORMAT_VERSION,
+        members={name: [a.dtype.str, list(a.shape)] for name, a in arrays.items()},
+    )
+    out = dict(arrays)
+    out[_HEADER] = np.frombuffer(
+        json.dumps(header).encode("utf-8"), dtype=np.uint8
+    ).copy()
+    return out
+
+
 def build_container_members(
     samples_by_core: dict[int, "SampleArrays | list[SampleArrays]"],
     switches_by_core: dict[int, SwitchRecords],
@@ -181,7 +279,7 @@ def build_container_members(
     checksums: bool,
     waits_by_core: dict[int, WaitColumns] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Assemble the member dict of one v3 container (header included).
+    """Assemble the member dict of one container (header included).
 
     A core's samples may be a single :class:`SampleArrays` (chunked by
     ``chunk_size``, or flat when it is ``None``) or an explicit list of
@@ -195,7 +293,6 @@ def build_container_members(
     """
     arrays: dict[str, np.ndarray] = {}
     header: dict = {
-        "version": FORMAT_VERSION,
         "sample_cores": sorted(samples_by_core),
         "switch_cores": sorted(switches_by_core),
         "meta": meta or {},
@@ -264,10 +361,7 @@ def build_container_members(
     arrays.update(_symbol_arrays(symtab))
     if checksums:
         header["crc32"] = {name: member_crc(arrays[name]) for name in data_members}
-    arrays["header_json"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    ).copy()
-    return arrays
+    return with_header(arrays, header)
 
 
 def save_trace(
@@ -374,46 +468,76 @@ class TraceFile:
 def _open_container(path: str | pathlib.Path):
     """Open a container and parse its header (load_trace and TraceReader).
 
-    The file handle is opened here and handed to the ``NpzFile``, which
-    owns it from then on.  Every error path closes it, including a
-    truncated zip that makes the ``NpzFile`` constructor itself raise.
+    Returns the open ``ZipFile`` and the header dict.  Every error path
+    closes the file, including a truncated zip that makes the
+    ``ZipFile`` constructor itself raise.
     """
     try:
-        fh = open(path, "rb")
-    except OSError as exc:
+        zf = zipfile.ZipFile(path)
+    except _READ_ERRORS as exc:
+        # Narrowed deliberately: KeyboardInterrupt and MemoryError must
+        # propagate during ingestion instead of masquerading as a
+        # corrupt file.
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
     try:
-        try:
-            data = np.lib.npyio.NpzFile(fh, own_fid=True, allow_pickle=False)
-        except _READ_ERRORS as exc:
-            # Narrowed deliberately: KeyboardInterrupt and MemoryError must
-            # propagate during ingestion instead of masquerading as a
-            # corrupt file.
-            raise TraceError(f"cannot read trace file {path}: {exc}") from exc
-        if "header_json" not in data:
+        names = set(zf.namelist())
+        raw_header = _HEADER in names
+        if not raw_header and _HEADER + ".npy" not in names:
             raise TraceError(f"{path} is not a repro trace file (no header)")
         try:
-            header = json.loads(bytes(data["header_json"]).decode("utf-8"))
-        except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
+            if raw_header:
+                text = zf.read(_HEADER)
+            else:
+                with zf.open(_HEADER + ".npy") as fh:
+                    text = np.lib.format.read_array(fh, allow_pickle=False).tobytes()
+            header = json.loads(text.decode("utf-8"))
+        except _READ_ERRORS as exc:  # also UnicodeDecodeError, JSONDecodeError
             raise TraceError(f"{path} has a corrupt header: {exc}") from exc
-        version = header.get("version")
+        version = header.get("version") if isinstance(header, dict) else None
         if not isinstance(version, int) or not 1 <= version <= FORMAT_VERSION:
             raise TraceError(
                 f"trace file version {version} unsupported "
                 f"(this build reads versions 1..{FORMAT_VERSION})"
             )
+        if raw_header != (version >= 4) or (
+            raw_header and not isinstance(header.get("members"), dict)
+        ):
+            raise TraceError(
+                f"{path} has a corrupt header: its layout does not match "
+                f"version {version}"
+            )
     except BaseException:
-        fh.close()
+        zf.close()
         raise
-    return data, header
+    return zf, header
 
 
-def _load_symtab(data) -> SymbolTable:
+def _member(zf: zipfile.ZipFile, header: dict, name: str) -> np.ndarray:
+    """Decode one member by the container's version.
+
+    Version 4 members are raw bytes declared in the header's ``members``
+    table; versions 1–3 store ``.npy`` files.  A member the container
+    lacks raises ``KeyError``; damaged bytes raise one of
+    ``_READ_ERRORS``.
+    """
+    if header["version"] >= 4:
+        dtype, shape = header["members"][name]
+        return decode_member(zf.read(name), dtype, shape)
+    with zf.open(name + ".npy") as fh:
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _load_symtab(zf: zipfile.ZipFile, header: dict, path) -> SymbolTable:
+    try:
+        names, lo, hi = (
+            _member(zf, header, key) for key in ("sym_names", "sym_lo", "sym_hi")
+        )
+    except KeyError as exc:
+        raise TraceError(f"{path} is truncated: missing symbol member {exc}") from exc
+    except _READ_ERRORS as exc:
+        raise TraceError(f"{path} has an unreadable symbol table: {exc}") from exc
     return SymbolTable.from_ranges(
-        {
-            str(name): (int(lo), int(hi))
-            for name, lo, hi in zip(data["sym_names"], data["sym_lo"], data["sym_hi"])
-        }
+        {str(n): (int(a), int(b)) for n, a, b in zip(names, lo, hi)}
     )
 
 
@@ -434,7 +558,7 @@ def _sample_chunk_keys(header: dict, core: int) -> list[tuple[str, str, str]]:
     ]
 
 
-def _read_wait_columns(data, header: dict, core: int, getter) -> WaitColumns:
+def _read_wait_columns(zf, header: dict, core: int, getter) -> WaitColumns:
     """Load one core's optional wait-edge columns via ``getter``.
 
     Any missing member degrades to empty columns — the member set is
@@ -446,7 +570,7 @@ def _read_wait_columns(data, header: dict, core: int, getter) -> WaitColumns:
         return WaitColumns.empty()
     try:
         cols = {col: getter(f"core{core}_wait_{col}") for col in _WAIT_COLS}
-        names = tuple(str(n) for n in data["wait_queue_names"])
+        names = tuple(str(n) for n in _member(zf, header, "wait_queue_names"))
     except KeyError:
         return WaitColumns.empty()
     return WaitColumns(queue_names=names, **cols)
@@ -495,9 +619,9 @@ def _crc_mismatches(crc_map: dict, members) -> list[str]:
     ]
 
 
-def _checked_member(data, crc_map: dict, key: str, path) -> np.ndarray:
+def _checked_member(zf, header: dict, crc_map: dict, key: str, path) -> np.ndarray:
     """Read one member; :class:`CorruptionError` if it fails its crc32."""
-    arr = data[key]
+    arr = _member(zf, header, key)
     if _crc_mismatches(crc_map, [(key, arr)]):
         raise CorruptionError(
             f"{path}: member {key} fails its crc32 check (stored {crc_map[key]})"
@@ -517,19 +641,19 @@ def load_trace(
     policy-driven alternative use :class:`TraceReader` with
     :mod:`repro.core.streaming`).
     """
-    data, header = _open_container(path)
+    zf, header = _open_container(path)
     crc_map = (header.get("crc32") or {}) if verify_checksums else {}
 
-    def _member(key: str) -> np.ndarray:
-        return _checked_member(data, crc_map, key, path)
+    def checked(key: str) -> np.ndarray:
+        return _checked_member(zf, header, crc_map, key, path)
 
-    with data:
-        symtab = _load_symtab(data)
+    with zf:
+        symtab = _load_symtab(zf, header, path)
         samples: dict[int, SampleArrays] = {}
         for core in header["sample_cores"]:
             try:
                 parts = [
-                    SampleArrays(ts=_member(kt), ip=_member(ki), tag=_member(kg))
+                    SampleArrays(ts=checked(kt), ip=checked(ki), tag=checked(kg))
                     for kt, ki, kg in _sample_chunk_keys(header, core)
                 ]
             except KeyError as exc:
@@ -551,17 +675,17 @@ def load_trace(
         for core in header["switch_cores"]:
             kinds = [
                 _CODE_KIND[int(c)]
-                for c in _member(f"core{core}_switch_kind").tolist()
+                for c in checked(f"core{core}_switch_kind").tolist()
             ]
             switches[core] = SwitchRecords.from_arrays(
                 core,
-                _member(f"core{core}_switch_ts"),
-                _member(f"core{core}_switch_item"),
+                checked(f"core{core}_switch_ts"),
+                checked(f"core{core}_switch_item"),
                 kinds,
             )
         waits: dict[int, WaitColumns] = {}
         for core in header.get("wait_cores") or []:
-            w = _read_wait_columns(data, header, core, _member)
+            w = _read_wait_columns(zf, header, core, checked)
             if len(w):
                 waits[core] = w
     return TraceFile(
@@ -578,7 +702,7 @@ class TraceReader:
 
     Unlike :func:`load_trace`, which materialises every core's columns,
     a reader parses only the header and symbol table up front and hands
-    out sample *chunks* on demand — npz members are decompressed
+    out sample *chunks* on demand — zip members are decompressed
     individually, so a chunked file never needs more than one chunk of
     one core in memory.  Flat files are supported for backward
     compatibility, but their per-core columns are decompressed whole on
@@ -599,8 +723,12 @@ class TraceReader:
 
     def __init__(self, path: str | pathlib.Path) -> None:
         self.path = pathlib.Path(path)
-        self._npz, self._header = _open_container(path)
-        self.symtab = _load_symtab(self._npz)
+        self._zip, self._header = _open_container(path)
+        try:
+            self.symtab = _load_symtab(self._zip, self._header, path)
+        except BaseException:
+            self._zip.close()
+            raise
         self.meta: dict = self._header["meta"]
         self.version: int = self._header["version"]
         #: Chunk size the file was written with (None for flat layouts).
@@ -609,7 +737,7 @@ class TraceReader:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        self._npz.close()
+        self._zip.close()
 
     def __enter__(self) -> "TraceReader":
         return self
@@ -633,7 +761,10 @@ class TraceReader:
     def n_switch_records(self, core: int) -> int:
         if core not in self._header["switch_cores"]:
             raise TraceError(f"trace file has no switch records for core {core}")
-        return int(self._npz[f"core{core}_switch_ts"].shape[0])
+        name = f"core{core}_switch_ts"
+        if self.version >= 4:
+            return int(self._header["members"][name][1][0])
+        return int(self._raw(name).shape[0])
 
     def _chunk_rows(self, core: int) -> list[int] | None:
         """Stored per-chunk row counts (v3), or None for older files."""
@@ -685,7 +816,7 @@ class TraceReader:
         out = []
         for name in names:
             try:
-                out.append(self._npz[name])
+                out.append(self._raw(name))
             except KeyError:
                 return None, KIND_MISSING, f"member {name} is absent"
             except _READ_ERRORS as exc:
@@ -929,9 +1060,13 @@ class TraceReader:
             f"core{core}_switch_kind",
         )
 
-    def _member(self, key: str) -> np.ndarray:
+    def _raw(self, key: str) -> np.ndarray:
+        """Read one member, unchecked."""
+        return _member(self._zip, self._header, key)
+
+    def _checked(self, key: str) -> np.ndarray:
         """Read one member under the strict crc32 check, like load_trace."""
-        return _checked_member(self._npz, self._crc, key, self.path)
+        return _checked_member(self._zip, self._header, self._crc, key, self.path)
 
     def switch_window_columns(
         self,
@@ -958,7 +1093,7 @@ class TraceReader:
         quarantine = quarantine if quarantine is not None else QuarantineLog()
         coverage = coverage if coverage is not None else CoverageStats(core=core)
         names = self._switch_member_names(core)
-        ts, item, kinds = (self._npz[name] for name in names)
+        ts, item, kinds = map(self._raw, names)
         crc_bad = _crc_mismatches(self._crc, zip(names, (ts, item, kinds)))
         if crc_bad:
             _obs().crc_failures.inc(len(crc_bad))
@@ -1018,7 +1153,7 @@ class TraceReader:
         Checked against the crc32 map like :func:`load_trace`: a corrupt
         log raises :class:`CorruptionError` instead of being handed on.
         """
-        ts, item, kind_codes = map(self._member, self._switch_member_names(core))
+        ts, item, kind_codes = map(self._checked, self._switch_member_names(core))
         kinds = [_CODE_KIND[int(c)] for c in kind_codes.tolist()]
         return SwitchRecords.from_arrays(core, ts, item, kinds)
 
@@ -1030,7 +1165,7 @@ class TraceReader:
     def wait_columns(self, core: int) -> WaitColumns:
         """One core's wait edges; empty for containers without the
         optional member set (never an error)."""
-        return _read_wait_columns(self._npz, self._header, core, self._member)
+        return _read_wait_columns(self._zip, self._header, core, self._checked)
 
 
 def save_session(

@@ -6,7 +6,7 @@ closes the loop between the two: capture checkpoints stream into a
 bounded :class:`~repro.core.durable.SegmentRing` (newest segments win),
 and the moment an :class:`~repro.obs.anomaly.AnomalyEvent` at or above
 the configured severity fires, the ring is sealed into a **tagged
-incident bundle** — a valid version-3 trace container whose meta names
+incident bundle** — a valid trace container whose meta names
 the triggering anomaly, the recent anomaly history, and what the ring
 had already evicted.  ``repro diagnose`` attributes the incident's root
 cause from the bundle; ``repro push`` ships it to the fleet store like

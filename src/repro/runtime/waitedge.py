@@ -28,7 +28,7 @@ the exact virtual wait).  Edges are typed by blocker kind:
     producer's latency rather than an empty ring.
 
 Columns are plain numpy arrays so the capture layer can append them to
-the v3 container as an *optional* member set — old readers ignore it,
+the trace container as an *optional* member set — old readers ignore it,
 new readers treat absence as "no wait data", never an error.
 """
 

@@ -4,7 +4,7 @@ Layout under the store root::
 
     catalog.jsonl                  append-only commit log (fsync'd)
     runs/<run-id>/journal/         PR 5 journal dir while the run is open
-    runs/<run-id>/trace.npz        compacted v3 container once committed
+    runs/<run-id>/trace.npz        compacted v4 container once committed
     quarantine/<run-id>/           journals compaction refused (poison)
 
 Durability is two nested commit points, both inherited from

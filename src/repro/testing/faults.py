@@ -5,7 +5,8 @@ against a real saved container, so tests assert each corruption policy's
 exact behavior instead of trusting code inspection:
 
 * storage faults — :func:`flip_sample_bit` (bit rot; checksums left
-  stale on purpose), :func:`truncate_chunks` (torn write),
+  stale on purpose), :func:`flip_stored_bit` (the same below the member
+  codec, on the stored bytes), :func:`truncate_chunks` (torn write),
   :func:`misalign_columns` (partial column), :func:`shuffle_chunks`
   (out-of-order writer);
 * semantic faults — :func:`drop_switch_records` /
@@ -21,7 +22,9 @@ exact behavior instead of trusting code inspection:
   scenario once against :class:`CountingIO` to learn how many kill
   points it has; the kill-at-any-offset suite then enumerates them all.
 
-Storage faults rewrite the ``.npz`` in place via :func:`rewrite_container`.
+Storage faults rewrite the ``.npz`` in place via :func:`rewrite_container`,
+which decodes and re-encodes members with the container's own reader and
+writer, so a fault lands in a current-version container.
 ``refresh_checksums`` distinguishes the two corruption families: bit rot
 happens *after* the checksum was computed (leave it stale, the mismatch is
 the point), while writer bugs — shuffled chunks, duplicated marks —
@@ -32,39 +35,52 @@ the semantic fault is visible).
 from __future__ import annotations
 
 import errno
-import json
 import os
 import pathlib
 import time
+import zipfile
 
 import numpy as np
 
 from repro.core.durable import RecorderIO
 from repro.core.integrity import member_crc
 from repro.core.streaming import _integrate_core_shard
+from repro.core.tracefile import (
+    _HEADER,
+    _member,
+    _open_container,
+    atomic_savez,
+    with_header,
+    write_zip,
+)
 
-_HEADER = "header_json"
 _SAMPLE_COLS = ("ts", "ip", "tag")
 _SWITCH_COLS = ("ts", "item", "kind")
 
 
 def read_container(path: str | pathlib.Path) -> tuple[dict[str, np.ndarray], dict]:
-    """All members (minus the header) plus the parsed header dict."""
-    with np.load(str(path), allow_pickle=False) as data:
-        arrays = {k: data[k].copy() for k in data.files if k != _HEADER}
-        header = json.loads(bytes(data[_HEADER]).decode("utf-8"))
+    """All members (minus the header), decoded, plus the parsed header dict.
+
+    Reads any container version through the reader's own decoder.
+    """
+    zf, header = _open_container(path)
+    with zf:
+        names = [n.removesuffix(".npy") for n in zf.namelist()]
+        arrays = {n: _member(zf, header, n) for n in names if n != _HEADER}
     return arrays, header
 
 
 def write_container(
     path: str | pathlib.Path, arrays: dict[str, np.ndarray], header: dict
 ) -> None:
-    """Reassemble a container from mutated members (uncompressed)."""
-    out = dict(arrays)
-    out[_HEADER] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    ).copy()
-    np.savez(str(path), **out)
+    """Reassemble a container from mutated members (uncompressed).
+
+    Written by the container writer itself, so the result is a current
+    (version :data:`~repro.core.tracefile.FORMAT_VERSION`) container
+    whose member table matches ``arrays``; the rest of ``header`` — the
+    crc32 map and row counts included — is kept as given.
+    """
+    atomic_savez(path, with_header(arrays, header), compress=False)
 
 
 def rewrite_container(
@@ -122,6 +138,28 @@ def flip_sample_bit(
         arrays[name] = arr
 
     rewrite_container(path, mutate)
+
+
+def flip_stored_bit(
+    path: str | pathlib.Path, member: str, *, offset: int, bit: int
+) -> None:
+    """Bit rot below the member codec: flip one bit of a stored byte.
+
+    The member's stored (inflated) bytes get bit ``bit`` of byte
+    ``offset`` flipped and are deflated again, so the zip's own crc
+    matches and only the header's crc32 map, left stale, notices.  For a
+    version-4 integer member of ``n`` values, byte ``j`` of value ``i``
+    is stored at offset ``j * n + i``.
+    """
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+        stored = {info.filename: zf.read(info) for info in infos}
+    data = bytearray(stored[member])
+    data[offset] ^= 1 << bit
+    stored[member] = bytes(data)
+    compress = any(info.compress_type == zipfile.ZIP_DEFLATED for info in infos)
+    with open(path, "wb") as fh:
+        write_zip(fh, stored.items(), compress=compress)
 
 
 def flip_switch_bit(

@@ -5,10 +5,14 @@ The goldens pin the *exact* output of ``integrate()`` / ``breakdown()``
 integration hot path — vectorisation rework, chunking, parallelism —
 must reproduce today's results bit for bit or fail loudly.
 
-Run ``PYTHONPATH=src python tests/data/make_golden.py`` to regenerate
-the ``.npz`` traces and ``golden_expected.json``.  Only do this when the
-output is *intended* to change; the whole point of the goldens is that
-it never changes silently.
+Run ``PYTHONPATH=src:. python tests/data/make_golden.py [NAME ...]`` to
+regenerate the named goldens (all of them when no name is given): the
+``.npz`` traces plus ``golden_expected.json`` for ``golden_a``..``c``.
+Only do this when the output is *intended* to change; the whole point of
+the goldens is that it never changes silently.  In particular the
+checked-in ``golden_a``..``c`` were written by the version-1/2 writers
+and are kept as the backward-compatibility corpus, so regenerate only
+the one you mean to change.
 
 The three traces exercise the paths that historically differ between
 implementations:
@@ -21,12 +25,18 @@ implementations:
 * ``golden_c`` — timer-switching (multiple windows per item), a symbol
   name longer than 128 characters (regression for the old ``U128``
   truncation), saved in the version-2 chunked layout.
+
+``golden_v4`` is the fault suite's fixture trace
+(``tests/faults/conftest.py``) in the version-4 layout, stored
+uncompressed so its bytes do not depend on the zlib build: today's
+writer must reproduce it byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 
@@ -202,10 +212,25 @@ def expected_for(samples_by_core, switches_by_core, symtab) -> dict:
     }
 
 
-def main() -> None:
-    expected = {}
-    for name, build in SPECS.items():
-        samples, switches, symtab, save_kwargs = build()
+def write_golden_v4() -> None:
+    from tests.faults.conftest import build_fixture_trace
+
+    build_fixture_trace(DATA_DIR / "golden_v4.npz")
+    print("golden_v4: fault fixture trace, version-4 layout")
+
+
+def main(names: list[str]) -> None:
+    unknown = set(names) - set(SPECS) - {"golden_v4"}
+    if unknown:
+        raise SystemExit(f"unknown golden(s): {', '.join(sorted(unknown))}")
+    names = names or [*SPECS, "golden_v4"]
+    if "golden_v4" in names:
+        write_golden_v4()
+    out = DATA_DIR / "golden_expected.json"
+    expected = json.loads(out.read_text()) if out.exists() else {}
+    specs = [n for n in SPECS if n in names]
+    for name in specs:
+        samples, switches, symtab, save_kwargs = SPECS[name]()
         save_trace(
             DATA_DIR / f"{name}.npz",
             samples,
@@ -217,10 +242,10 @@ def main() -> None:
         expected[name] = expected_for(samples, switches, symtab)
         n = sum(len(s) for s in samples.values())
         print(f"{name}: {len(samples)} cores, {n} samples")
-    out = DATA_DIR / "golden_expected.json"
-    out.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    if specs:
+        out.write_text(json.dumps(expected, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {out}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

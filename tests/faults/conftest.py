@@ -50,7 +50,8 @@ def build_symtab() -> SymbolTable:
     )
 
 
-def build_fixture_trace(path, *, checksums: bool = True) -> None:
+def fixture_parts():
+    """The fixture trace's ``(samples, switches, symtab)``, in memory."""
     symtab = build_symtab()
     samples = {}
     switches = {}
@@ -74,6 +75,11 @@ def build_fixture_trace(path, *, checksums: bool = True) -> None:
             tag=np.full(len(ts_list), -1, dtype=np.int64),
         )
         switches[core] = rec
+    return samples, switches, symtab
+
+
+def build_fixture_trace(path, *, checksums: bool = True) -> None:
+    samples, switches, symtab = fixture_parts()
     save_trace(
         path,
         samples,

@@ -309,11 +309,8 @@ def _container_key(path) -> dict:
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_recover_is_idempotent(data):
-    """Journal replay is a pure function of the journal, torn or not.
-
-    np.savez embeds zip timestamps, so the comparison is member arrays
-    plus the parsed header — content identity, not byte identity.
-    """
+    """Journal replay is a pure function of the journal, torn or not:
+    the same report, the same members and the same container bytes."""
     total, _ = scenario_ops()
     kill_at = data.draw(st.integers(min_value=1, max_value=total - 1))
     torn = data.draw(st.booleans())
@@ -331,13 +328,15 @@ def test_recover_is_idempotent(data):
             return
         first = recover(out)
         state1 = _container_key(out)
+        bytes1 = out.read_bytes()
         second = recover(out)
         state2 = _container_key(out)
+        assert out.read_bytes() == bytes1
         assert _report_key(first) == _report_key(second)
         assert state1["header"] == state2["header"]
         assert state1["arrays"].keys() == state2["arrays"].keys()
         for name, arr in state1["arrays"].items():
             assert np.array_equal(arr, state2["arrays"][name]), name
         # Idempotence aside, the recovered container must still be a
-        # strictly-valid v3 file even for torn crash states.
+        # strictly-valid container even for torn crash states.
         load_trace(out, verify_checksums=True)

@@ -20,6 +20,7 @@ import pytest
 
 from tests.faults.conftest import build_fixture_trace, build_symtab
 from tests.faults.test_recover import _PER_CHUNK, _core_data
+from repro.core import tracefile
 from repro.core.durable import DurableTraceWriter, journal_dir_for, recover
 from repro.core.options import IngestOptions
 from repro.core.streaming import ingest_trace
@@ -53,8 +54,8 @@ def test_failed_overwrite_preserves_original(tmp_path, monkeypatch):
     def full_disk(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    # The fixture saves uncompressed, so np.savez is the writer in use.
-    monkeypatch.setattr(np, "savez", full_disk)
+    # The zip writer fails after the temp file is opened.
+    monkeypatch.setattr(tracefile, "write_zip", full_disk)
     with pytest.raises(TraceWriteError, match="disk full"):
         build_fixture_trace(out)
     monkeypatch.undo()
@@ -175,7 +176,7 @@ def test_save_trace_enospc_names_the_condition(tmp_path, monkeypatch):
     def full_disk(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(np, "savez", full_disk)
+    monkeypatch.setattr(tracefile, "write_zip", full_disk)
     with pytest.raises(TraceWriteError) as exc:
         save_trace(
             tmp_path / "t.npz",
