@@ -7,13 +7,14 @@ that closes that gap (PAPER §IV's overhead discussion assumes
 long-running production captures; a tracer that loses a night's trace to
 one crash is not deployable):
 
-* :class:`DurableTraceWriter` appends **sealed segments** — bounded npz
-  files, each carrying its own header and per-member crc32 — to a
-  journal directory next to the target container.  A segment is written
-  to a temp name, fsync'd, renamed into place, and only then recorded in
-  an fsync'd append-only journal (``journal.jsonl``).  The journal line
-  is the commit point: a process killed at any instant leaves a
-  recoverable prefix of fully-sealed segments.
+* :class:`DurableTraceWriter` appends **sealed segments** — bounded,
+  uncompressed zips of raw container members, each carrying its own
+  header and per-member crc32 — to a journal directory next to the
+  target container.  A segment is written to a temp name, fsync'd,
+  renamed into place, and only then recorded in an fsync'd append-only
+  journal (``journal.jsonl``).  The journal line is the commit point: a
+  process killed at any instant leaves a recoverable prefix of
+  fully-sealed segments.
 * :func:`recover` replays the journal, salvages every sealed segment
   that still validates, reports everything else through the existing
   :class:`~repro.core.integrity.Defect` / ``QuarantineLog`` machinery,
@@ -42,6 +43,7 @@ import json
 import os
 import pathlib
 import shutil
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +65,16 @@ from repro.core.tracefile import (
     _CODE_KIND,
     _KIND_CODE,
     _READ_ERRORS,
+    FORMAT_VERSION,
+    _json_member,
+    _member,
     _symbol_arrays,
     atomic_savez,
     build_container_members,
     container_path,
+    encode_member,
+    member_table,
+    write_zip,
 )
 from repro.errors import CorruptionError, RecoveryError, TraceError, TraceWriteError
 from repro.machine.pebs import SampleArrays
@@ -80,8 +88,6 @@ JOURNAL_SUFFIX = ".journal"
 
 _JOURNAL_FILE = "journal.jsonl"
 _SEG_HEADER = "seg_json"
-_SAMPLE_COLS = ("ts", "ip", "tag")
-_SWITCH_COLS = ("ts", "item", "kind")
 
 #: Segment kinds a journal may seal.
 KIND_SEG_MANIFEST = "manifest"
@@ -287,10 +293,63 @@ def _write_atomic(io: RecorderIO, path: pathlib.Path, data: bytes) -> None:
     io.fsync_dir(path.parent)
 
 
-def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+# ---------------------------------------------------------------------------
+# The segment codec
+
+#: What decoding damaged segment bytes raises (``KeyError``: a missing member).
+SEGMENT_READ_ERRORS = (*_READ_ERRORS, KeyError)
+
+
+def encode_segment(record: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """One segment file's bytes: an uncompressed zip of ``arrays`` as raw
+    container members (:func:`~repro.core.tracefile.encode_member`), then
+    the ``seg_json`` header, ``record`` plus the ``members`` table."""
+    header = dict(record, members=member_table(arrays))
+    members = [(name, encode_member(a)) for name, a in arrays.items()]
+    members.append((_SEG_HEADER, json.dumps(header).encode("utf-8")))
     buf = _io.BytesIO()
-    np.savez(buf, **arrays)
+    write_zip(buf, members, compress=False)
     return buf.getvalue()
+
+
+def decode_segment(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """A segment file's record and arrays; inverse of :func:`encode_segment`.
+
+    As for containers, the header member's name tells the layout: raw
+    ``seg_json``, or ``seg_json.npy`` from older writers, whose arrays
+    are ``.npy`` members too (numpy's ``savez`` layout).  Damaged bytes
+    raise one of :data:`SEGMENT_READ_ERRORS`.
+    """
+    with zipfile.ZipFile(_io.BytesIO(data)) as zf:
+        header, raw = _json_member(zf, _SEG_HEADER)
+        if not isinstance(header, dict):
+            raise ValueError("segment header is not a JSON object")
+        if raw:
+            members = header.pop("members", None)
+            if not isinstance(members, dict):
+                raise ValueError("segment header has no members table")
+            layout = {"version": FORMAT_VERSION, "members": members}
+            names = list(members)
+        else:
+            layout = {"version": 1}  # .npy members, as containers before v4
+            names = [
+                n.removesuffix(".npy")
+                for n in zf.namelist()
+                if n.endswith(".npy") and n != _SEG_HEADER + ".npy"
+            ]
+        arrays = {name: _member(zf, layout, name) for name in names}
+    return header, arrays
+
+
+def segment_crc_failures(crc: dict, arrays: dict[str, np.ndarray]) -> list[str]:
+    """The segment check: names in a seal record's ``crc`` map that
+    ``arrays`` lack or whose crc32 differs (unlisted arrays pass).  A
+    claimed crc that is not a number fails like a wrong one."""
+    return [
+        name
+        for name, want in crc.items()
+        if name not in arrays or member_crc(arrays[name]) != want
+    ]
 
 
 def _seg_name(seq: int) -> str:
@@ -315,8 +374,9 @@ class DurableTraceWriter:
         container.
     compress:
         Compression of the **final** container.  Segments themselves are
-        stored uncompressed — the journal is transient and the capture
-        hot path should not pay zlib.
+        uncompressed zips of raw container members
+        (:func:`encode_segment`) — the journal is transient and the
+        capture hot path should not pay zlib.
     io:
         Syscall surface; tests substitute fault-injecting shims.
     """
@@ -437,12 +497,8 @@ class DurableTraceWriter:
         record = {"op": "seal", "seq": seq, "kind": kind, "file": _seg_name(seq)}
         record.update(extra)
         record["crc"] = {name: member_crc(arr) for name, arr in arrays.items()}
-        seg_arrays = dict(arrays)
-        seg_arrays[_SEG_HEADER] = np.frombuffer(
-            json.dumps(record).encode("utf-8"), dtype=np.uint8
-        ).copy()
         self._journal.append(
-            record, file=(self.dir / record["file"], _npz_bytes(seg_arrays))
+            record, file=(self.dir / record["file"], encode_segment(record, arrays))
         )
         self._seq += 1
         self.segments_sealed += 1
@@ -511,60 +567,48 @@ def read_journal(jdir: str | pathlib.Path) -> tuple[list[dict], bool]:
 
 
 def _load_segment(
-    path: pathlib.Path, crc: dict | None
+    path: pathlib.Path, crc: dict
 ) -> tuple[dict[str, np.ndarray] | None, str, str]:
-    """Load + validate one segment; returns (arrays, defect_kind, detail)."""
-    if not path.exists():
-        return None, KIND_MISSING, f"segment file {path.name} is absent"
+    """Read one sealed segment and check it against the ``crc`` map of
+    its journal record: (arrays, defect_kind, detail), where ``arrays``
+    is ``None`` unless the check passed."""
     try:
-        with np.load(str(path), allow_pickle=False) as data:
-            arrays = {k: data[k].copy() for k in data.files if k != _SEG_HEADER}
-    except _READ_ERRORS as exc:
+        _, arrays = decode_segment(path.read_bytes())
+    except FileNotFoundError:
+        return None, KIND_MISSING, f"segment file {path.name} is absent"
+    except SEGMENT_READ_ERRORS as exc:
         return None, KIND_UNREADABLE, f"segment {path.name}: {exc}"
-    if crc:
-        bad = [
-            name
-            for name, want in crc.items()
-            if name not in arrays or member_crc(arrays[name]) != int(want)
-        ]
-        if bad:
-            return (
-                None,
-                KIND_CHECKSUM,
-                f"segment {path.name}: crc32 mismatch in {', '.join(bad)}",
-            )
+    bad = segment_crc_failures(crc, arrays)
+    if bad:
+        detail = f"segment {path.name}: crc32 mismatch in {', '.join(bad)}"
+        return None, KIND_CHECKSUM, detail
     return arrays, "", ""
 
 
 def _orphan_records(
     jdir: pathlib.Path, sealed_files: set[str]
-) -> list[tuple[pathlib.Path, dict | None]]:
-    """Segment files on disk the journal never sealed, with their embedded
-    headers when readable (a torn file yields ``None``)."""
+) -> list[tuple[pathlib.Path, dict | None, dict[str, np.ndarray] | None]]:
+    """Segment files the journal never sealed, as (path, record, arrays).
+
+    ``record`` is the one embedded in the file, ``None`` when the file
+    cannot be decoded or is a ``.tmp`` never renamed into place;
+    ``arrays`` are set only when they pass that record's own crcs.
+    """
     out = []
     for p in sorted(jdir.glob("seg-*.npz*")):
-        if p.name in sealed_files or p.name == _JOURNAL_FILE:
+        if p.name in sealed_files:
             continue
-        header: dict | None = None
+        record = arrays = None
         if p.suffix == ".npz":
             try:
-                with np.load(str(p), allow_pickle=False) as data:
-                    if _SEG_HEADER in data.files:
-                        header = json.loads(bytes(data[_SEG_HEADER]).decode("utf-8"))
-                        if header is not None and header.get("crc"):
-                            arrays = {
-                                k: data[k] for k in data.files if k != _SEG_HEADER
-                            }
-                            for name, want in header["crc"].items():
-                                if (
-                                    name not in arrays
-                                    or member_crc(arrays[name]) != int(want)
-                                ):
-                                    header["_self_check_failed"] = True
-                                    break
-            except (*_READ_ERRORS, KeyError):
-                header = None
-        out.append((p, header))
+                record, arrays = decode_segment(p.read_bytes())
+            except SEGMENT_READ_ERRORS:
+                pass
+            else:
+                crc = record.get("crc") or {}
+                if not isinstance(crc, dict) or segment_crc_failures(crc, arrays):
+                    arrays = None
+        out.append((p, record, arrays))
     return out
 
 
@@ -660,13 +704,9 @@ def recover(
         )
         ins.segments_lost.inc()
 
-    for rec in seals:
-        arrays, bad_kind, detail = _load_segment(
-            jdir / rec["file"], rec.get("crc")
-        )
-        if arrays is None:
-            _lose(rec, bad_kind, detail)
-            continue
+    def _take(rec: dict, arrays: dict[str, np.ndarray]) -> None:
+        """Fold one validated segment into the container's parts."""
+        nonlocal n_recovered, samples_rec, marks_rec, symtab
         n_recovered += 1
         ins.segments_recovered.inc()
         seg_kind = rec.get("kind")
@@ -680,51 +720,43 @@ def recover(
                 }
             )
         elif seg_kind == KIND_SEG_SAMPLES:
-            core = int(rec["core"])
             chunk = SampleArrays(
                 ts=arrays["ts"], ip=arrays["ip"], tag=arrays["tag"]
             )
-            chunks_by_core.setdefault(core, []).append(chunk)
+            chunks_by_core.setdefault(int(rec["core"]), []).append(chunk)
             samples_rec += len(chunk)
         elif seg_kind == KIND_SEG_SWITCH:
-            core = int(rec["core"])
-            switch_parts.setdefault(core, []).append(
+            switch_parts.setdefault(int(rec["core"]), []).append(
                 (arrays["ts"], arrays["item"], arrays["kind"])
             )
             marks_rec += int(arrays["ts"].shape[0])
         elif seg_kind == KIND_SEG_META:
             meta.update(json.loads(bytes(arrays["patch"]).decode("utf-8")))
 
+    for rec in seals:
+        arrays, bad_kind, detail = _load_segment(
+            jdir / rec["file"], rec.get("crc") or {}
+        )
+        if arrays is None:
+            _lose(rec, bad_kind, detail)
+        else:
+            _take(rec, arrays)
+
     # Orphans: files the journal never sealed (the crash window).
     n_unsealed = 0
-    for p, header in _orphan_records(jdir, sealed_files):
-        readable = header is not None and not header.get("_self_check_failed")
-        if salvage_unsealed and readable and header.get("kind") in (
-            KIND_SEG_SAMPLES,
-            KIND_SEG_SWITCH,
-            KIND_SEG_META,
+    for p, header, arrays in _orphan_records(jdir, sealed_files):
+        readable = arrays is not None
+        # A samples or switch orphan without a core has nowhere to go.
+        seg_kind = header.get("kind") if readable else None
+        if salvage_unsealed and (
+            seg_kind == KIND_SEG_META
+            or (
+                seg_kind in (KIND_SEG_SAMPLES, KIND_SEG_SWITCH)
+                and isinstance(header.get("core"), int)
+            )
         ):
-            arrays, _, _ = _load_segment(p, header.get("crc"))
-            if arrays is not None:
-                n_recovered += 1
-                ins.segments_recovered.inc()
-                core = int(header.get("core", -1))
-                if header["kind"] == KIND_SEG_SAMPLES:
-                    chunk = SampleArrays(
-                        ts=arrays["ts"], ip=arrays["ip"], tag=arrays["tag"]
-                    )
-                    chunks_by_core.setdefault(core, []).append(chunk)
-                    samples_rec += len(chunk)
-                elif header["kind"] == KIND_SEG_SWITCH:
-                    switch_parts.setdefault(core, []).append(
-                        (arrays["ts"], arrays["item"], arrays["kind"])
-                    )
-                    marks_rec += int(arrays["ts"].shape[0])
-                else:
-                    meta.update(
-                        json.loads(bytes(arrays["patch"]).decode("utf-8"))
-                    )
-                continue
+            _take(header, arrays)
+            continue
         n_unsealed += 1
         rec = dict(header or {})
         rec["file"] = p.name
@@ -978,4 +1010,8 @@ __all__ = [
     "read_journal",
     "journal_dir_for",
     "JOURNAL_VERSION",
+    "SEGMENT_READ_ERRORS",
+    "decode_segment",
+    "encode_segment",
+    "segment_crc_failures",
 ]

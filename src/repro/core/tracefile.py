@@ -43,6 +43,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 import os
 import pathlib
 import zipfile
@@ -132,9 +133,9 @@ def _symbol_arrays(symtab: SymbolTable) -> dict[str, np.ndarray]:
 def container_path(path: str | pathlib.Path) -> pathlib.Path:
     """The on-disk name a container write lands at.
 
-    Mirrors ``np.savez``'s historical behaviour of appending ``.npz`` to
-    extension-less names, so the atomic write path names the same file
-    the legacy direct write did.
+    Mirrors numpy's ``savez``, which appended ``.npz`` to extension-less
+    names, so the atomic write path names the same file the legacy
+    direct write did.
     """
     p = pathlib.Path(path)
     return p if p.name.endswith(".npz") else p.with_name(p.name + ".npz")
@@ -178,12 +179,13 @@ def encode_member(arr: np.ndarray) -> bytes:
 
 def decode_member(raw: bytes, dtype: str, shape) -> np.ndarray:
     """Inverse of :func:`encode_member`: a writable ``dtype`` array of
-    ``shape``; ``ValueError`` when the bytes do not fit the declaration."""
+    ``shape``; ``ValueError`` when the declaration is malformed or the
+    bytes do not fit it."""
     try:
         dt = np.dtype(dtype)
+        shape = tuple(operator.index(n) for n in shape)
     except TypeError as exc:
-        raise ValueError(f"bad member dtype {dtype!r}") from exc
-    shape = tuple(int(n) for n in shape)
+        raise ValueError(f"bad member declaration {dtype!r}, {shape!r}") from exc
     count = math.prod(shape)
     if dt.hasobject or len(raw) != count * dt.itemsize:
         raise ValueError(
@@ -199,8 +201,8 @@ def write_zip(fh, members, *, compress: bool) -> None:
     """Write ``(name, stored bytes)`` pairs to ``fh`` as one zip.
 
     Compressed members use deflate at zlib's default level (6).  Every
-    entry carries ``ZipInfo``'s default 1980-01-01 timestamp, as
-    ``np.savez`` entries do, so identical input gives a byte-identical
+    entry carries ``ZipInfo``'s default 1980-01-01 timestamp, as numpy's
+    ``savez`` entries do, so identical input gives a byte-identical
     file.  ``writestr`` knows each member's size up front and adds zip64
     records only to a member that needs them, so the bytes do not depend
     on which Python release wrote them.
@@ -224,8 +226,8 @@ def atomic_savez(
     new one complete — never a truncated container.  Parent directories
     are created, and storage failures surface as
     :class:`~repro.errors.TraceWriteError` instead of a raw ``OSError``.
-    Returns the final path (``.npz`` appended when missing, matching
-    ``np.savez``).
+    Returns the final path (``.npz`` appended when missing, see
+    :func:`container_path`).
     """
     final = container_path(path)
     tmp = final.with_name(final.name + ".tmp")
@@ -250,6 +252,11 @@ def atomic_savez(
     return final
 
 
+def member_table(arrays: dict[str, np.ndarray]) -> dict[str, list]:
+    """The v4 ``members`` table: ``{name: [dtype.str, shape]}``."""
+    return {name: [a.dtype.str, list(a.shape)] for name, a in arrays.items()}
+
+
 def with_header(arrays: dict[str, np.ndarray], header: dict) -> dict[str, np.ndarray]:
     """``arrays`` plus the v4 header member.
 
@@ -257,11 +264,7 @@ def with_header(arrays: dict[str, np.ndarray], header: dict) -> dict[str, np.nda
     ``members`` table (``{name: [dtype.str, shape]}``) the reader decodes
     each member by.
     """
-    header = dict(
-        header,
-        version=FORMAT_VERSION,
-        members={name: [a.dtype.str, list(a.shape)] for name, a in arrays.items()},
-    )
+    header = dict(header, version=FORMAT_VERSION, members=member_table(arrays))
     out = dict(arrays)
     out[_HEADER] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8
@@ -465,6 +468,22 @@ class TraceFile:
         return integrate(self.samples(core), self.switches(core), self.symtab)
 
 
+def _json_member(zf: zipfile.ZipFile, name: str):
+    """Parse the JSON member ``name``: ``(value, raw)``, where ``raw``
+    says it is stored as raw bytes (version 4), not as ``name.npy``
+    (versions 1–3).  ``KeyError`` when neither is present."""
+    raw = name in zf.namelist()
+    if raw:
+        text = zf.read(name)
+    else:
+        with zf.open(name + ".npy") as fh:
+            text = np.lib.format.read_array(fh, allow_pickle=False).tobytes()
+    try:
+        return json.loads(text.decode("utf-8")), raw
+    except RecursionError as exc:
+        raise ValueError(f"{name} nests too deeply") from exc
+
+
 def _open_container(path: str | pathlib.Path):
     """Open a container and parse its header (load_trace and TraceReader).
 
@@ -480,17 +499,10 @@ def _open_container(path: str | pathlib.Path):
         # corrupt file.
         raise TraceError(f"cannot read trace file {path}: {exc}") from exc
     try:
-        names = set(zf.namelist())
-        raw_header = _HEADER in names
-        if not raw_header and _HEADER + ".npy" not in names:
-            raise TraceError(f"{path} is not a repro trace file (no header)")
         try:
-            if raw_header:
-                text = zf.read(_HEADER)
-            else:
-                with zf.open(_HEADER + ".npy") as fh:
-                    text = np.lib.format.read_array(fh, allow_pickle=False).tobytes()
-            header = json.loads(text.decode("utf-8"))
+            header, raw_header = _json_member(zf, _HEADER)
+        except KeyError:
+            raise TraceError(f"{path} is not a repro trace file (no header)") from None
         except _READ_ERRORS as exc:  # also UnicodeDecodeError, JSONDecodeError
             raise TraceError(f"{path} has a corrupt header: {exc}") from exc
         version = header.get("version") if isinstance(header, dict) else None
@@ -521,8 +533,10 @@ def _member(zf: zipfile.ZipFile, header: dict, name: str) -> np.ndarray:
     ``_READ_ERRORS``.
     """
     if header["version"] >= 4:
-        dtype, shape = header["members"][name]
-        return decode_member(zf.read(name), dtype, shape)
+        decl = header["members"][name]
+        if not isinstance(decl, list) or len(decl) != 2:
+            raise ValueError(f"member {name} has a malformed declaration {decl!r}")
+        return decode_member(zf.read(name), *decl)
     with zf.open(name + ".npy") as fh:
         return np.lib.format.read_array(fh, allow_pickle=False)
 

@@ -47,7 +47,7 @@ import random
 import zlib
 from dataclasses import dataclass
 
-from repro.core.durable import AppendLog, _seg_name, read_journal
+from repro.core.durable import AppendLog
 from repro.errors import (
     CorruptionError,
     ProtocolError,
@@ -70,7 +70,7 @@ from repro.service.protocol import (
     encode_frame,
 )
 from repro.service.sources import StreamSource, iter_journal_segments
-from repro.service.store import TraceStore, validate_segment
+from repro.service.store import TraceStore
 
 _LEDGER_FILE = "replication.jsonl"
 
@@ -170,37 +170,11 @@ class FollowerSessions:
         else:
             have = sorted(self.store.sealed_seqs(run_id))
             if verify and have:
-                healthy = self._prune_corrupt(run_id, have)
+                healthy = self.store.verify_sealed(run_id, have)
                 meta["pruned"] = len(have) - len(healthy)
                 have = healthy
             meta["have"] = have
         conn.send(Frame(KIND_SYNC_HAVE, meta))
-
-    def _prune_corrupt(self, run_id: str, have: list[int]) -> list[int]:
-        """Verify sealed bytes against their journal crcs; drop liars.
-
-        A dropped seq disappears from the have-set, so the replicator
-        re-ships it through the ordinary admission path — that *is* the
-        segment-level scrub repair.
-        """
-        jdir = self.store.journal_dir(run_id)
-        healthy: list[int] = []
-        records = {
-            r["seq"]: r
-            for r in read_journal(jdir)[0]
-            if r.get("op") == "seal" and isinstance(r.get("seq"), int)
-        }
-        for seq in have:
-            rec = records.get(seq)
-            try:
-                data = (jdir / _seg_name(seq)).read_bytes()
-                validate_segment(rec, data)
-            except (OSError, CorruptionError):
-                self.store.drop_segment(run_id, seq)
-                _obs().svc_scrub_repairs.inc()
-                continue
-            healthy.append(seq)
-        return healthy
 
     def on_replicate(self, conn, frame: Frame) -> None:
         op = frame.meta.get("op")
@@ -689,22 +663,9 @@ def scrub_local(
         report.runs += 1
         have = dst.sealed_seqs(run_id)
         if verify and have:
-            jdir = dst.journal_dir(run_id)
-            records = {
-                r["seq"]: r
-                for r in read_journal(jdir)[0]
-                if r.get("op") == "seal" and isinstance(r.get("seq"), int)
-            }
-            for seq in sorted(have):
-                try:
-                    validate_segment(
-                        records.get(seq), (jdir / _seg_name(seq)).read_bytes()
-                    )
-                except (OSError, CorruptionError):
-                    dst.drop_segment(run_id, seq)
-                    have.discard(seq)
-                    report.segments_pruned += 1
-                    ins.svc_scrub_repairs.inc()
+            healthy = dst.verify_sealed(run_id, sorted(have))
+            report.segments_pruned += len(have) - len(healthy)
+            have = set(healthy)
         for record, data in iter_journal_segments(src.journal_dir(run_id)):
             if record.get("seq") in have:
                 continue

@@ -2,7 +2,7 @@
 
 The daemon consumes *frames*; producers hold their trace data in one of
 three shapes.  Each source turns its shape into the common wire unit —
-the sealed-segment ``(record, npz bytes)`` pair of
+the sealed-segment ``(record, segment file bytes)`` pair of
 :mod:`repro.core.durable` — without re-encoding trace content:
 
 * :func:`iter_journal_segments` walks a recording journal directory
@@ -31,9 +31,10 @@ def iter_journal_segments(jdir: str | pathlib.Path):
     """Yield ``(record, data)`` for every sealed segment, in seal order.
 
     ``record`` is the journal's seal line (already carrying seq, kind,
-    crc and extent metadata); ``data`` is the raw npz segment file.  A
-    torn journal tail is expected after a producer crash and simply ends
-    the iteration; a sealed segment whose file is missing raises
+    crc and extent metadata); ``data`` is the segment file's bytes, as
+    written (:func:`~repro.core.durable.encode_segment`).  A torn journal
+    tail is expected after a producer crash and simply ends the
+    iteration; a sealed segment whose file is missing raises
     :class:`~repro.errors.TraceError` — the journal promised bytes the
     producer can no longer supply, which the caller must surface rather
     than silently ship a shorter run.

@@ -31,7 +31,6 @@ enumerate and kill at every single operation offset.
 
 from __future__ import annotations
 
-import io as _io
 import json
 import pathlib
 import re
@@ -39,22 +38,22 @@ import time
 import uuid
 import zlib
 
-import numpy as np
-
 from repro.core.durable import (
     KIND_SEG_MANIFEST,
     KIND_SEG_META,
     KIND_SEG_SAMPLES,
     KIND_SEG_SWITCH,
+    SEGMENT_READ_ERRORS,
     AppendLog,
     JournalLog,
     RecorderIO,
     _seg_name,
+    decode_segment,
     recover,
+    segment_crc_failures,
 )
-from repro.core.integrity import POLICY_STRICT, member_crc
+from repro.core.integrity import POLICY_STRICT
 from repro.core.options import IngestOptions
-from repro.core.tracefile import _READ_ERRORS
 from repro.errors import (
     CorruptionError,
     RecoveryError,
@@ -67,7 +66,6 @@ from repro.obs.instrumented import pipeline as _obs
 _JOURNAL_FILE = "journal.jsonl"
 _CATALOG_FILE = "catalog.jsonl"
 _STORE_ID_FILE = "store.id"
-_SEG_HEADER = "seg_json"
 _SEG_KINDS = (KIND_SEG_MANIFEST, KIND_SEG_SAMPLES, KIND_SEG_SWITCH, KIND_SEG_META)
 
 #: Run ids become directory names; this shape excludes separators,
@@ -133,6 +131,11 @@ def validate_segment(record: dict, data: bytes) -> None:
         raise CorruptionError(
             f"segment record has unknown kind {record.get('kind')!r}"
         )
+    core = record.get("core")
+    if record["kind"] in (KIND_SEG_SAMPLES, KIND_SEG_SWITCH) and not isinstance(
+        core, int
+    ):
+        raise CorruptionError(f"segment record has invalid core {core!r}")
     if record.get("file") != _seg_name(seq):
         # Also forecloses path traversal: the stored name is derived,
         # never taken from the wire.
@@ -144,15 +147,10 @@ def validate_segment(record: dict, data: bytes) -> None:
     if not isinstance(crc, dict) or not crc:
         raise CorruptionError("segment record carries no member crcs")
     try:
-        with np.load(_io.BytesIO(data), allow_pickle=False) as npz:
-            arrays = {k: npz[k] for k in npz.files if k != _SEG_HEADER}
-    except _READ_ERRORS as exc:
+        _, arrays = decode_segment(data)
+    except SEGMENT_READ_ERRORS as exc:
         raise CorruptionError(f"segment bytes are not a loadable npz: {exc}") from exc
-    bad = [
-        name
-        for name, want in crc.items()
-        if name not in arrays or member_crc(arrays[name]) != int(want)
-    ]
+    bad = segment_crc_failures(crc, arrays)
     if bad:
         raise CorruptionError(
             f"segment {record['file']}: crc32 mismatch in {', '.join(sorted(bad))}"
@@ -237,13 +235,18 @@ class TraceStore:
         self._seals.pop(run_id, None)
         self._journals.pop(run_id, None)
 
+    def _seal_records(self, run_id: str) -> dict[int, dict]:
+        """seq -> seal record, from the run journal's trusted prefix."""
+        return {
+            r["seq"]: r
+            for r in self._journal(run_id).read()[0]
+            if r.get("op") == "seal" and isinstance(r.get("seq"), int)
+        }
+
     def _load_seals(self, run_id: str) -> dict[int, str]:
         if run_id not in self._seals:
-            records, _torn = self._journal(run_id).read()
             self._seals[run_id] = {
-                r["seq"]: _crc_signature(r)
-                for r in records
-                if r.get("op") == "seal" and isinstance(r.get("seq"), int)
+                seq: _crc_signature(r) for seq, r in self._seal_records(run_id).items()
             }
         return self._seals[run_id]
 
@@ -481,6 +484,26 @@ class TraceStore:
             pass
         self._forget(run_id)
         return True
+
+    def verify_sealed(self, run_id: str, seqs) -> list[int]:
+        """Scrub: drop each of ``seqs`` whose bytes fail their seal record.
+
+        Returns the seqs that pass, in order.  A dropped seq leaves the
+        have-set, so replication re-ships it through admission — the
+        segment-level repair (one ``svc_scrub_repairs`` each).
+        """
+        jdir = self.journal_dir(run_id)
+        records = self._seal_records(run_id)
+        healthy: list[int] = []
+        for seq in seqs:
+            try:
+                validate_segment(records.get(seq), (jdir / _seg_name(seq)).read_bytes())
+            except (OSError, CorruptionError):
+                self.drop_segment(run_id, seq)
+                _obs().svc_scrub_repairs.inc()
+            else:
+                healthy.append(seq)
+        return healthy
 
     def tombstone_run(self, run_id: str, *, archive: str) -> None:
         """Retire a committed run from the catalog (retention commit point).

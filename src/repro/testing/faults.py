@@ -24,7 +24,9 @@ exact behavior instead of trusting code inspection:
 
 Storage faults rewrite the ``.npz`` in place via :func:`rewrite_container`,
 which decodes and re-encodes members with the container's own reader and
-writer, so a fault lands in a current-version container.
+writer, so a fault lands in a current-version container;
+``read_segment`` / ``write_segment`` are the recorder's own segment codec
+(either layout in, the current one out) for faults in journal segments.
 ``refresh_checksums`` distinguishes the two corruption families: bit rot
 happens *after* the checksum was computed (leave it stale, the mismatch is
 the point), while writer bugs — shuffled chunks, duplicated marks —
@@ -43,6 +45,8 @@ import zipfile
 import numpy as np
 
 from repro.core.durable import RecorderIO
+from repro.core.durable import decode_segment as read_segment
+from repro.core.durable import encode_segment as write_segment
 from repro.core.integrity import member_crc
 from repro.core.streaming import _integrate_core_shard
 from repro.core.tracefile import (

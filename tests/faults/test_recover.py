@@ -41,6 +41,7 @@ from tests.faults.conftest import (
     item_of_window,
 )
 from repro.core.durable import (
+    SEGMENT_READ_ERRORS,
     DurableTraceWriter,
     journal_dir_for,
     recover,
@@ -52,7 +53,14 @@ from repro.core.tracefile import load_trace
 from repro.errors import CorruptionError, RecoveryError
 from repro.machine.pebs import SampleArrays
 from repro.runtime.actions import SwitchKind
-from repro.testing.faults import CountingIO, CrashingIO, SimulatedCrash, read_container
+from repro.testing.faults import (
+    CountingIO,
+    CrashingIO,
+    SimulatedCrash,
+    read_container,
+    read_segment,
+    write_segment,
+)
 
 _JOURNAL = "journal.jsonl"
 
@@ -157,9 +165,8 @@ def _orphan_rows(orphans: list[pathlib.Path], kind: str) -> int:
         if p.suffix != ".npz":
             continue
         try:
-            with np.load(str(p), allow_pickle=False) as data:
-                header = json.loads(bytes(data["seg_json"]).decode("utf-8"))
-        except Exception:
+            header, _ = read_segment(p.read_bytes())
+        except SEGMENT_READ_ERRORS:
             continue
         if header.get("kind") == kind:
             total += int(header.get("rows", 0))
@@ -283,6 +290,29 @@ def test_unsealed_segment_reported_not_salvaged(tmp_path):
     assert salvaged.samples_lost == 0
     assert salvaged.samples_recovered == report.samples_recovered + _PER_CHUNK
     assert len(load_trace(out).samples(0)) == _PER_CHUNK
+
+
+def test_unsealed_segment_without_core_is_not_salvaged(tmp_path):
+    # An orphan's record comes from the file itself; one that names no
+    # core stays unsealed instead of being filed under an invented core.
+    _, log = scenario_ops()
+    kill_at = next(
+        i
+        for i, (op, name) in enumerate(log)
+        if op == "append_bytes"
+        and name == _JOURNAL
+        and log[i - 2] == ("replace", "seg-000002.npz.tmp")
+    )
+    out = tmp_path / "t.npz"
+    _crash(out, kill_at)
+    orphan = journal_dir_for(out) / "seg-000002.npz"
+    record, arrays = read_segment(orphan.read_bytes())
+    del record["core"]
+    orphan.write_bytes(write_segment(record, arrays))
+
+    report = recover(out, salvage_unsealed=True)
+    assert report.segments_unsealed == 1
+    assert report.samples_lost == _PER_CHUNK
 
 
 def _report_key(report) -> tuple:

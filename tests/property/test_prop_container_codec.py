@@ -1,9 +1,10 @@
-"""Property tests: the version-4 member codec and container writer.
+"""Property tests: the version-4 member codec, container and segment writers.
 
 Every member dtype a container stores comes back bitwise-equal, with
 the same dtype and shape, through the codec alone and through a whole
-write and read; and the byte shuffle is a permutation, so one flipped
-stored bit is one flipped bit of one value.
+write and read of a container or of a journal segment; and the byte
+shuffle is a permutation, so one flipped stored bit is one flipped bit
+of one value.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.durable import decode_segment, encode_segment
 from repro.core.integrity import member_crc
 from repro.core.tracefile import (
     _member,
@@ -58,20 +60,38 @@ def test_codec_roundtrip_is_bitwise(arr):
     assert member_crc(back) == member_crc(arr)
 
 
-@settings(max_examples=25, deadline=None)
+def container_roundtrip(tmp_path, arrays, compress):
+    path = tmp_path / "c.npz"
+    atomic_savez(path, with_header(arrays, {}), compress=compress)
+    zf, header = _open_container(path)
+    with zf:
+        return {name: _member(zf, header, name) for name in arrays}
+
+
+def segment_roundtrip(tmp_path, arrays, compress):
+    del tmp_path, compress  # segments are bytes, always stored
+    crc = {name: member_crc(a) for name, a in arrays.items()}
+    record = {"op": "seal", "seq": 3, "kind": "samples", "crc": crc}
+    header, back = decode_segment(encode_segment(record, arrays))
+    assert header == record
+    assert list(back) == list(arrays)
+    return back
+
+
+@settings(max_examples=50, deadline=None)
 @given(
     arrays=st.dictionaries(
         st.from_regex(r"m[a-z0-9_]{0,8}", fullmatch=True), members, max_size=6
     ),
     compress=st.booleans(),
+    roundtrip=st.sampled_from([container_roundtrip, segment_roundtrip]),
 )
-def test_container_roundtrip_is_bitwise(tmp_path_factory, arrays, compress):
-    path = tmp_path_factory.mktemp("codec") / "c.npz"
-    atomic_savez(path, with_header(arrays, {}), compress=compress)
-    zf, header = _open_container(path)
-    with zf:
-        for name, arr in arrays.items():
-            assert same(_member(zf, header, name), arr)
+def test_container_roundtrip_is_bitwise(
+    tmp_path_factory, arrays, compress, roundtrip
+):
+    back = roundtrip(tmp_path_factory.mktemp("codec"), arrays, compress)
+    for name, arr in arrays.items():
+        assert same(back[name], arr)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import io
 
-import numpy as np
 import pytest
 
 from repro.core.options import IngestOptions
 from repro.service.daemon import DaemonConfig, IngestDaemon
 from repro.service.sources import iter_journal_segments, journal_from_container
 from repro.service.store import TraceStore
+from repro.testing.faults import read_segment, write_segment
 from tests.faults.conftest import build_fixture_trace
 
 
@@ -51,15 +50,12 @@ def store(tmp_path):
 
 def corrupt_covered_member(rec, data):
     """Return the segment bytes with one crc-covered value changed."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-        arrays = {k: npz[k] for k in npz.files}
+    header, arrays = read_segment(data)
     name = next(n for n in sorted(rec["crc"]) if arrays[n].dtype.kind in "iufb")
     arr = arrays[name].copy()
     flat = arr.reshape(-1)
     flat[0] = flat[0] + 1 if arr.dtype.kind == "f" else flat[0] ^ 1
-    out = io.BytesIO()
-    np.savez(out, **{**arrays, name: arr})
-    return out.getvalue()
+    return write_segment(header, {**arrays, name: arr})
 
 
 def run_async(coro, timeout: float = 60.0):

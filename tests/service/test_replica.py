@@ -12,9 +12,12 @@ the same scenarios.
 from __future__ import annotations
 
 import asyncio
+import pathlib
 
+import numpy as np
 import pytest
 
+from repro.core.tracefile import load_trace
 from repro.errors import ReplicationError, StoreError, TraceError
 from repro.obs.anomaly import KIND_REPLICA_LAG, AnomalyLog, AnomalyConfig, ReplicaLagChecker
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -32,6 +35,7 @@ from repro.service.store import TraceStore
 from repro.testing.faults import ENOSPCIO
 from tests.service.conftest import corrupt_covered_member, run_async
 
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 COMMITTED = ("rA", "rB")
 OPEN = "rO"
 
@@ -144,6 +148,43 @@ class TestSync:
         assert late.containers_shipped == 1
         assert_replicated(tmp_path / "p", tmp_path / "f")
         assert TraceStore(tmp_path / "f").committed(OPEN)
+
+    def test_push_commit_sync_parses_no_npy_header(
+        self, tmp_path, segments, monkeypatch
+    ):
+        # Segments, containers and frames all hold raw members, so the
+        # service path never runs numpy's .npy header parser.
+        fmt = getattr(np.lib, "_format_impl", np.lib.format)
+        parse = fmt._read_array_header
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(fmt, "_read_array_header", counted)
+
+        async def scenario():
+            primary = TraceStore(tmp_path / "p")
+            pdaemon = IngestDaemon(primary, DaemonConfig())
+            await pdaemon.start()
+            _, fdaemon = await follower(tmp_path / "f")
+            try:
+                conn = await pdaemon.connect()
+                pushed = await push_segments(*conn, "r1", segments)
+                synced = await sync_with(primary, fdaemon, seed=1)
+                return pushed, synced
+            finally:
+                await pdaemon.shutdown()
+                await fdaemon.shutdown()
+
+        pushed, synced = run_async(scenario())
+        assert pushed.committed
+        assert synced.containers_shipped == 1
+        assert_replicated(tmp_path / "p", tmp_path / "f")
+        assert calls == []
+        load_trace(DATA / "acl_spike.npz")  # version 3: the counter works
+        assert calls
 
 
 class TestScrub:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import zipfile
 
 import pytest
 
@@ -22,6 +24,17 @@ from tests.service.conftest import corrupt_covered_member
 def seal_all(store, run_id, segments):
     for record, data in segments:
         store.append_segment(run_id, record, data)
+
+
+def _edit_seg_json(data: bytes, edit) -> bytes:
+    """The segment bytes with the ``seg_json`` header member's bytes
+    replaced by ``edit(header bytes)``."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(buf, "w") as dst:
+        for member in src.namelist():
+            body = src.read(member)
+            dst.writestr(member, edit(body) if member == "seg_json" else body)
+    return buf.getvalue()
 
 
 def reference_report(journal_dir, tmp_path):
@@ -88,6 +101,57 @@ class TestAdmission:
         rec, data = segments[0]
         with pytest.raises(CorruptionError, match=match):
             validate_segment(mangle(rec), data)
+
+    @pytest.mark.parametrize("core", [None, "0", 1.5])
+    def test_sample_record_without_int_core_is_poison(self, store, segments, core):
+        # Recovery files samples and switches by core: a record that names
+        # none is refused at the door, not compacted onto an invented core.
+        rec, data = next(
+            (r, d) for r, d in segments if r["kind"] in ("samples", "switch")
+        )
+        forged = {k: v for k, v in rec.items() if k != "core"}
+        if core is not None:
+            forged["core"] = core
+        with pytest.raises(CorruptionError, match="invalid core"):
+            store.append_segment("r1", forged, data)
+        assert not store.journal_dir("r1").exists()
+
+    @pytest.mark.parametrize(
+        "decl", [5, ["<i8", 5], ["<i8", [None]], ["<i8", ["2"]], ["<i8"], "ab"]
+    )
+    def test_malformed_member_declaration_is_poison(self, store, segments, decl):
+        # The segment's own members table comes over the wire with its
+        # bytes; a declaration that is not [dtype, [ints]] is poison, not
+        # a crash of the daemon's store task.
+        rec, data = segments[0]
+        name = next(iter(rec["crc"]))
+
+        def edit(header: bytes) -> bytes:
+            header = json.loads(header)
+            header["members"][name] = decl
+            return json.dumps(header).encode()
+
+        with pytest.raises(CorruptionError, match="not a loadable npz"):
+            store.append_segment("r1", rec, _edit_seg_json(data, edit))
+        assert not store.journal_dir("r1").exists()
+
+    def test_overdeep_segment_header_is_poison(self, store, segments):
+        rec, data = segments[0]
+        deep = b"[" * 100_000 + b"]" * 100_000
+        with pytest.raises(CorruptionError, match="not a loadable npz"):
+            store.append_segment("r1", rec, _edit_seg_json(data, lambda _: deep))
+        assert not store.journal_dir("r1").exists()
+
+    @pytest.mark.parametrize("claim", ["x", None, [1]])
+    def test_non_numeric_crc_claim_is_poison(self, store, segments, claim):
+        # A malformed crc value from the wire is poison, not a crash of
+        # the daemon's store task.
+        rec, data = segments[0]
+        name = next(iter(rec["crc"]))
+        forged = dict(rec, crc={**rec["crc"], name: claim})
+        with pytest.raises(CorruptionError, match="crc32 mismatch"):
+            store.append_segment("r1", forged, data)
+        assert not store.journal_dir("r1").exists()
 
 
 class TestCommit:
